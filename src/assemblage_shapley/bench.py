@@ -233,8 +233,9 @@ def run_with_timeout(
 
     Returns ``(status, payload, seconds)`` where status is ``ok`` /
     ``timeout`` / ``error``. On success ``seconds`` is measured inside the
-    child around the call, excluding process overhead. ``timeout_s=None``
-    runs inline with no isolation.
+    child around the call, excluding process overhead. A child that dies
+    without sending a result is an ``error`` whose payload names its exit code
+    or signal. ``timeout_s=None`` runs inline with no isolation.
     """
     if timeout_s is None:
         start = time.perf_counter()
@@ -251,7 +252,15 @@ def run_with_timeout(
         proc.join()
         parent_conn.close()
         return "timeout", None, None
-    status, payload, elapsed = parent_conn.recv()
+    try:
+        status, payload, elapsed = parent_conn.recv()
+    except EOFError:
+        proc.join()
+        parent_conn.close()
+        code = proc.exitcode
+        if code < 0:
+            return "error", f"killed by signal {-code}", None
+        return "error", f"child exited with code {code}", None
     proc.join()
     parent_conn.close()
     if status == "ok":
@@ -305,6 +314,20 @@ class RunReport:
     rng: str | None = None
     error: str | None = None
 
+    @classmethod
+    def for_config(cls, config: RunConfig, *, status: str = "ok", **fields) -> "RunReport":
+        """A report on a run of ``config``, with the config's knobs filled in."""
+        return cls(
+            label=config.label,
+            method=config.method,
+            status=status,
+            gamma=config.gamma,
+            samples=config.samples,
+            seed=config.seed,
+            timeout_s=config.timeout_s,
+            **fields,
+        )
+
     def exact_allocation(self) -> Allocation | None:
         if self.allocation_exact is None:
             return None
@@ -335,6 +358,57 @@ def _run_perm(plan, tables, n_owners, utility_fn, samples, seed):
     return perm_shapley(ev, samples=samples, seed=seed)
 
 
+def _coalition_report(config: RunConfig, d: CoalitionSet) -> RunReport:
+    return RunReport.for_config(
+        config,
+        n_owners=d.n_owners,
+        n_tuples=len(d),
+        total_utility=float(d.total_utility()),
+    )
+
+
+def _record_outcome(
+    report: RunReport,
+    status: str,
+    payload: Any,
+    elapsed: float | None,
+    reference: Allocation | None,
+) -> RunReport:
+    """Fill ``report`` in from what :func:`run_with_timeout` returned.
+
+    An iusv run also reports its case rates, the shape cache's hit rate over
+    general-case tuples, and its ``CaseStats`` as the histogram.
+    """
+    report.status = status
+    report.runtime_seconds = elapsed
+    if status == "error":
+        report.error = payload
+        return report
+    if status == "timeout":
+        return report
+
+    if report.method == "iusv":
+        allocation = payload.allocation
+        stats: CaseStats = payload.stats
+        rates = compute_case_rates(stats)
+        report.metrics.update(
+            umos_rate=rates.umos_rate,
+            sc_rate=rates.sc_rate,
+            sl_rate=rates.sl_rate,
+            shape_cache_hit_rate=(
+                payload.shape_cache_hits / stats.general if stats.general else 0.0
+            ),
+        )
+        report.histogram = asdict(stats)
+    else:
+        allocation = payload
+    report.allocation = allocation.as_floats()
+    report.allocation_exact = [str(v) for v in allocation.shares]
+    if reference is not None:
+        report.metrics["error_rate"] = float(compute_error_rate(reference, allocation))
+    return report
+
+
 def run_method(
     config: RunConfig,
     plan: PlanNode,
@@ -345,21 +419,11 @@ def run_method(
     reference: Allocation | None = None,
 ) -> RunReport:
     """Execute one configured method and report allocation, runtime, metrics."""
-    report = RunReport(
-        label=config.label,
-        method=config.method,
-        status="ok",
-        gamma=config.gamma,
-        samples=config.samples,
-        seed=config.seed,
-        timeout_s=config.timeout_s,
-    )
     assemble_start = time.perf_counter()
     d = evaluate_plan(plan, tables, utility_fn=utility_fn, n_owners=n_owners)
-    report.assemble_seconds = time.perf_counter() - assemble_start
-    report.n_owners = d.n_owners
-    report.n_tuples = len(d)
-    report.total_utility = float(d.total_utility())
+    assemble_seconds = time.perf_counter() - assemble_start
+    report = _coalition_report(config, d)
+    report.assemble_seconds = assemble_seconds
 
     if config.method == "iusv":
         status, payload, elapsed = run_with_timeout(
@@ -381,37 +445,22 @@ def run_method(
             config.samples,
             config.seed,
         )
+    return _record_outcome(report, status, payload, elapsed, reference)
 
-    report.status = status
-    report.runtime_seconds = elapsed
-    if status == "error":
-        report.error = payload
-        return report
-    if status == "timeout":
-        return report
 
-    if config.method == "iusv":
-        allocation = payload.allocation
-        stats: CaseStats = payload.stats
-        rates = compute_case_rates(stats)
-        report.metrics.update(
-            umos_rate=rates.umos_rate, sc_rate=rates.sc_rate, sl_rate=rates.sl_rate
-        )
-        report.histogram = {
-            "single_owner_only": stats.single_owner_only,
-            "unique_multi": stats.unique_multi,
-            "general": stats.general,
-            "sc_calls": stats.sc_calls,
-            "sl_calls": stats.sl_calls,
-            "fallbacks": stats.fallbacks,
-        }
-    else:
-        allocation = payload
-    report.allocation = allocation.as_floats()
-    report.allocation_exact = [str(v) for v in allocation.shares]
-    if reference is not None:
-        report.metrics["error_rate"] = float(compute_error_rate(reference, allocation))
-    return report
+def run_coalition(
+    config: RunConfig, d: CoalitionSet, *, reference: Allocation | None = None
+) -> RunReport:
+    """Run the iusv method on an already assembled coalition set.
+
+    The run is timed and killed like :func:`run_method`'s; the report has no
+    assemble time.
+    """
+    if config.method != "iusv":
+        raise ValueError(f"a coalition set can only be run with iusv, not {config.method!r}")
+    report = _coalition_report(config, d)
+    status, payload, elapsed = run_with_timeout(_run_iusv, config.timeout_s, d, config.gamma)
+    return _record_outcome(report, status, payload, elapsed, reference)
 
 
 def run_benchmark(
@@ -441,15 +490,8 @@ def run_benchmark(
                 reference=reference,
             )
         except Exception as exc:  # noqa: BLE001 - matrix isolation
-            return RunReport(
-                label=config.label,
-                method=config.method,
-                status="error",
-                gamma=config.gamma,
-                samples=config.samples,
-                seed=config.seed,
-                timeout_s=config.timeout_s,
-                error=f"{type(exc).__name__}: {exc}",
+            return RunReport.for_config(
+                config, status="error", error=f"{type(exc).__name__}: {exc}"
             )
 
     if not parallel:
@@ -479,15 +521,8 @@ class _BenchCellRunner:
                 reference=self.reference,
             )
         except Exception as exc:  # noqa: BLE001
-            return RunReport(
-                label=config.label,
-                method=config.method,
-                status="error",
-                gamma=config.gamma,
-                samples=config.samples,
-                seed=config.seed,
-                timeout_s=config.timeout_s,
-                error=f"{type(exc).__name__}: {exc}",
+            return RunReport.for_config(
+                config, status="error", error=f"{type(exc).__name__}: {exc}"
             )
 
 

@@ -21,11 +21,13 @@ from pathlib import Path
 
 from .bench import (
     RunConfig,
+    RunReport,
     ingest_csv,
     load_assignment,
     reports_from_json,
     reports_to_csv,
     reports_to_json,
+    run_coalition,
     run_method,
     write_assignment,
 )
@@ -33,7 +35,6 @@ from .datagen import AssignmentScenario, generate_assignment
 from .engine import dump_coalition, evaluate_plan, load_coalition
 from .errors import AssemblageError
 from .plans import load_plan
-from .shapley import iusv_all
 
 
 def _load_schema_config(path: str | None) -> dict:
@@ -111,47 +112,7 @@ def _cmd_shapley(args) -> int:
     if args.coalition:
         if args.method != "iusv":
             raise AssemblageError("--coalition input only supports the iusv method")
-        d = load_coalition(args.coalition)
-        import time
-
-        start = time.perf_counter()
-        result = iusv_all(d, args.gamma)
-        elapsed = time.perf_counter() - start
-        from .bench import RunReport, compute_case_rates, compute_error_rate
-
-        rates = compute_case_rates(result.stats)
-        report = RunReport(
-            label=args.label,
-            method="iusv",
-            status="ok",
-            gamma=args.gamma,
-            samples=args.samples,
-            seed=args.seed,
-            timeout_s=args.timeout,
-            n_owners=d.n_owners,
-            n_tuples=len(d),
-            total_utility=float(d.total_utility()),
-            runtime_seconds=elapsed,
-            allocation=result.allocation.as_floats(),
-            allocation_exact=[str(v) for v in result.allocation.shares],
-            metrics={
-                "umos_rate": rates.umos_rate,
-                "sc_rate": rates.sc_rate,
-                "sl_rate": rates.sl_rate,
-            },
-            histogram={
-                "single_owner_only": result.stats.single_owner_only,
-                "unique_multi": result.stats.unique_multi,
-                "general": result.stats.general,
-                "sc_calls": result.stats.sc_calls,
-                "sl_calls": result.stats.sl_calls,
-                "fallbacks": result.stats.fallbacks,
-            },
-        )
-        if reference is not None:
-            report.metrics["error_rate"] = float(
-                compute_error_rate(reference, result.allocation)
-            )
+        report = run_coalition(config, load_coalition(args.coalition), reference=reference)
     else:
         if not (args.manifest and args.plan):
             raise AssemblageError("need --manifest and --plan (or --coalition for iusv)")
@@ -189,17 +150,8 @@ def _cmd_bench(args) -> int:
         try:
             report = run_method(config, plan, tables, n_owners=n_owners)
         except AssemblageError as exc:
-            from .bench import RunReport
-
-            report = RunReport(
-                label=config.label,
-                method=config.method,
-                status="error",
-                gamma=config.gamma,
-                samples=config.samples,
-                seed=config.seed,
-                timeout_s=config.timeout_s,
-                error=f"{type(exc).__name__}: {exc}",
+            report = RunReport.for_config(
+                config, status="error", error=f"{type(exc).__name__}: {exc}"
             )
         reports.append(report)
         print(f"[{report.label}] {report.method}: {report.status} "

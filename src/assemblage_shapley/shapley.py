@@ -19,6 +19,7 @@ All arithmetic is exact (``Fraction``); binomials are exact integers.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -27,6 +28,8 @@ from typing import Iterable, Sequence
 from .engine import CoalitionSet, SynthesisSet, _minimal_masks
 from .errors import CostLimitError
 from .model import Allocation, OwnerSet
+
+logger = logging.getLogger(__name__)
 
 #: SC refuses inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_SC_MAX_TERMS = 2**24
@@ -80,6 +83,12 @@ def shapley_single_owner_only(s: SynthesisSet, utility: Fraction) -> dict[int, F
     case = classify_tuple(s)
     if not isinstance(case, SingleOwnerOnly):
         raise ValueError(f"tuple is not single-owner-only: {case}")
+    return _single_owner_only(s, case, utility)
+
+
+def _single_owner_only(
+    s: SynthesisSet, case: SingleOwnerOnly, utility: Fraction
+) -> dict[int, Fraction]:
     share = utility / case.m
     return {next(iter(syn)): share for syn in s}
 
@@ -95,6 +104,12 @@ def shapley_unique_multi(s: SynthesisSet, utility: Fraction) -> dict[int, Fracti
     case = classify_tuple(s)
     if not isinstance(case, UniqueMultiOwner):
         raise ValueError(f"tuple has no unique multi-owner synthesis: {case}")
+    return _unique_multi(s, case, utility)
+
+
+def _unique_multi(
+    s: SynthesisSet, case: UniqueMultiOwner, utility: Fraction
+) -> dict[int, Fraction]:
     m, k = case.m, case.k
     multi_share = utility / ((m + k) * comb(m + k - 1, m - 1))
     out: dict[int, Fraction] = {}
@@ -328,15 +343,29 @@ def iusv_tuple(
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    case = classify_tuple(s)
+    return _tuple_values(
+        s, classify_tuple(s), utility, gamma, stats, sc_max_terms, sl_max_owners
+    )
+
+
+def _tuple_values(
+    s: SynthesisSet,
+    case: TupleCase,
+    utility: Fraction,
+    gamma: float,
+    stats: CaseStats | None,
+    sc_max_terms: int,
+    sl_max_owners: int,
+) -> dict[int, Fraction]:
+    """:func:`iusv_tuple` for a tuple already classified as ``case``."""
     if isinstance(case, SingleOwnerOnly):
         if stats is not None:
             stats.single_owner_only += 1
-        return shapley_single_owner_only(s, utility)
+        return _single_owner_only(s, case, utility)
     if isinstance(case, UniqueMultiOwner):
         if stats is not None:
             stats.unique_multi += 1
-        return shapley_unique_multi(s, utility)
+        return _unique_multi(s, case, utility)
 
     if stats is not None:
         stats.general += 1
@@ -375,10 +404,41 @@ def iusv_tuple(
     return out
 
 
+def _shape_key(s: SynthesisSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tuple's owners in ascending order, and its synthesis masks with each
+    owner relabelled to its rank among them.
+
+    Relabelling by rank is monotone, so it keeps both the cardinality and the
+    bit order of the masks: the local masks are already in the engine's
+    canonical (cardinality, bits) order and need no sort.
+    """
+    masks = s.masks()
+    union = 0
+    for m in masks:
+        union |= m
+    owners = []
+    local = [0] * len(masks)
+    rank_bit = 1
+    while union:
+        low = union & -union
+        for j, m in enumerate(masks):
+            if m & low:
+                local[j] |= rank_bit
+        owners.append(low.bit_length() - 1)
+        union ^= low
+        rank_bit <<= 1
+    return tuple(owners), tuple(local)
+
+
 @dataclass(frozen=True)
 class IusvResult:
+    """The allocation of one :func:`iusv_all` run, its case counts, and how
+    often a general-case tuple's shape was already in the run's cache."""
+
     allocation: Allocation
     stats: CaseStats
+    shape_cache_hits: int = 0
+    shape_cache_misses: int = 0
 
 
 def iusv_all(
@@ -394,22 +454,60 @@ def iusv_all(
     Per-owner totals are sums of the independent per-tuple values. Per-tuple
     case statistics are collected for reporting. With ``per_tuple=True`` the
     allocation also carries every (tuple index, owner) contribution.
+
+    General-case tuples go through a shape cache that lives for this call. A
+    tuple's values depend only on its antichain of minimal syntheses, and
+    linearly on its utility; by the symmetry axiom, two antichains that differ
+    by an owner relabelling get the same values, relabelled. So each shape
+    (masks with owners relabelled to their rank in the tuple) is computed once,
+    at utility 1, on the first tuple that has it; every tuple of that shape
+    then scales the per-rank values by its utility and maps ranks back to its
+    owners. The shape's case counts are replayed per tuple, so ``stats`` is
+    the same as without the cache. Routing and both budgets depend only on
+    the shape, so a double budget failure still raises on the first tuple of
+    a shape, naming that tuple's owner.
     """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     shares = [Fraction(0)] * d.n_owners
     breakdown: dict[tuple[int, int], Fraction] | None = {} if per_tuple else None
     stats = CaseStats()
+    # shape -> (values at utility 1 by owner rank, the shape's CaseStats)
+    cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], CaseStats]] = {}
+    hits = 0
     for i, t in enumerate(d.tuples):
-        values = iusv_tuple(
-            t.syntheses,
-            t.utility,
-            gamma,
-            stats=stats,
-            sc_max_terms=sc_max_terms,
-            sl_max_owners=sl_max_owners,
-        )
+        s = t.syntheses
+        case = classify_tuple(s)
+        if isinstance(case, General):
+            owners, key = _shape_key(s)
+            entry = cache.get(key)
+            if entry is None:
+                delta = CaseStats()
+                unit = _tuple_values(
+                    s, case, Fraction(1), gamma, delta, sc_max_terms, sl_max_owners
+                )
+                entry = cache[key] = (tuple(unit[o] for o in owners), delta)
+            else:
+                hits += 1
+            by_rank, delta = entry
+            stats.merge(delta)
+            values = {o: t.utility * v for o, v in zip(owners, by_rank)}
+        else:
+            values = _tuple_values(
+                s, case, t.utility, gamma, stats, sc_max_terms, sl_max_owners
+            )
         for owner, v in values.items():
             shares[owner] += v
             if breakdown is not None:
                 breakdown[(i, owner)] = v
+    logger.debug(
+        "iusv_all: %d general tuples, shape cache %d hits, %d misses (one per distinct shape)",
+        stats.general, hits, len(cache),
+    )
     allocation = Allocation(shares=tuple(shares), per_tuple=breakdown)
-    return IusvResult(allocation=allocation, stats=stats)
+    return IusvResult(
+        allocation=allocation,
+        stats=stats,
+        shape_cache_hits=hits,
+        shape_cache_misses=len(cache),
+    )

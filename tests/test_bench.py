@@ -1,3 +1,5 @@
+import os
+import signal
 import time
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ from assemblage_shapley import (
     CaseStats,
     IngestError,
     OwnedTable,
+    OwnerSet,
     RunConfig,
     Scan,
     UndefinedMetricError,
@@ -16,11 +19,14 @@ from assemblage_shapley import (
     generate_assignment,
     ingest_csv,
     load_assignment,
+    minimalize,
     run_benchmark,
+    run_coalition,
     run_method,
     run_with_timeout,
     write_assignment,
 )
+from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
 from assemblage_shapley.bench import reports_from_csv, reports_from_json, reports_to_csv, reports_to_json
 
 from helpers import example_counter_tables
@@ -176,6 +182,19 @@ def test_run_with_timeout_reports_child_error():
     assert "kaput" in payload
 
 
+def _exit_3():
+    os._exit(3)
+
+
+def _sigkill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_run_with_timeout_reports_child_death():
+    assert run_with_timeout(_exit_3, 5.0) == ("error", "child exited with code 3", None)
+    assert run_with_timeout(_sigkill_self, 5.0) == ("error", "killed by signal 9", None)
+
+
 def test_run_with_timeout_inline_mode():
     status, payload, elapsed = run_with_timeout(_quick, None)
     assert (status, payload) == ("ok", 42)
@@ -193,6 +212,27 @@ def test_run_method_iusv_report_fields():
     assert report.metrics["umos_rate"] == 0.0
     assert report.metrics["sc_rate"] + report.metrics["sl_rate"] == pytest.approx(1.0)
     assert report.runtime_seconds is not None and report.assemble_seconds is not None
+    assert report.metrics["shape_cache_hit_rate"] == 0.0
+
+
+def test_run_coalition_reports_shape_cache_hit_rate():
+    # one bridging shape on owners {0,1,2} and {3,4,5}: one miss, one hit
+    d = CoalitionSet(
+        schema=("i",),
+        tuples=tuple(
+            CoalitionTuple((i,), F(1), minimalize(OwnerSet.from_indices(6, g) for g in groups))
+            for i, groups in enumerate([([0, 1], [0, 2]), ([3, 4], [3, 5])])
+        ),
+        n_owners=6,
+    )
+    report = run_coalition(RunConfig(method="iusv", timeout_s=30.0), d)
+    assert report.status == "ok" and report.assemble_seconds is None
+    assert report.allocation_exact == ["2/3", "1/6", "1/6"] * 2
+    assert report.metrics["shape_cache_hit_rate"] == 0.5
+    assert report.histogram == {
+        "single_owner_only": 0, "unique_multi": 0, "general": 2,
+        "sc_calls": 6, "sl_calls": 0, "fallbacks": 0,
+    }
 
 
 def test_run_method_trad_and_perm_with_reference():
@@ -261,7 +301,8 @@ def _sample_reports():
         plan,
         tables,
     )
-    return [exact, approx, timed_out]
+    fast = run_method(RunConfig(method="iusv", label="i"), plan, tables)
+    return [exact, approx, timed_out, fast]
 
 
 def test_reports_csv_roundtrip_lossless_modulo_runtimes(tmp_path):

@@ -1,9 +1,14 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from assemblage_shapley import bench, evaluate_plan
 from assemblage_shapley.cli import main
+from assemblage_shapley.engine import dump_coalition
+
+from helpers import example_counter_tables
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "mini-world"
 
@@ -129,6 +134,8 @@ def test_assemble_and_shapley_pipeline(tmp_path):
     assert rc == 0
     again = json.loads(from_dump.read_text())[0]
     assert again["allocation_exact"] == exact["allocation_exact"]
+    assert again["metrics"] == exact["metrics"]
+    assert "shape_cache_hit_rate" in again["metrics"]
 
     # trad agrees exactly on this 5-owner instance
     trad_report = tmp_path / "trad.json"
@@ -219,6 +226,26 @@ def test_bench_matrix(tmp_path):
     # gamma only affects routing, not values
     assert reports[0]["allocation_exact"] == reports[1]["allocation_exact"]
     assert report_csv.exists()
+
+
+def test_shapley_coalition_honours_timeout(tmp_path, monkeypatch):
+    plan, tables = example_counter_tables()
+    coalition = tmp_path / "coalition.json"
+    dump_coalition(evaluate_plan(plan, tables), coalition)
+    monkeypatch.setattr(bench, "iusv_all", lambda *args, **kwargs: time.sleep(60))
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    rc = main(
+        [
+            "shapley", "--method", "iusv", "--coalition", str(coalition),
+            "--timeout", "1", "--out", str(out),
+        ]
+    )
+    assert time.perf_counter() - start < 30
+    assert rc == 1
+    report = json.loads(out.read_text())[0]
+    assert report["status"] == "timeout"
+    assert report["allocation_exact"] is None and report["n_tuples"] == 1
 
 
 def test_shapley_requires_inputs(tmp_path, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assemblage_shapley import (
     CaseStats,
@@ -9,6 +10,7 @@ from assemblage_shapley import (
     General,
     OwnerSet,
     SingleOwnerOnly,
+    SynthesisSet,
     SynthesisSplit,
     UniqueMultiOwner,
     brute_force_tuple_oracle,
@@ -24,6 +26,8 @@ from assemblage_shapley import (
 
 from helpers import example_counter_tables, permutation_oracle, random_synthesis_set
 from assemblage_shapley import evaluate_plan
+from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
+from assemblage_shapley.shapley import DEFAULT_SC_MAX_TERMS, _shape_key
 
 
 def mk(width, *groups):
@@ -317,3 +321,110 @@ def test_case_stats_merge():
     b = CaseStats(unique_multi=3, sl_calls=1, fallbacks=1)
     a.merge(b)
     assert a.tuples == 4 and a.general_calls == 3 and a.fallbacks == 1
+
+
+# --- the shape cache in iusv_all ---------------------------------------------------------
+
+
+
+def coalition(n_owners, *tuples):
+    """A coalition set of (utility, synthesis set) pairs."""
+    return CoalitionSet(
+        schema=("i",),
+        tuples=tuple(CoalitionTuple((i,), u, s) for i, (u, s) in enumerate(tuples)),
+        n_owners=n_owners,
+    )
+
+
+def uncached(d, gamma=1.0, **caps):
+    """iusv_all's outputs computed tuple by tuple with iusv_tuple."""
+    shares = [F(0)] * d.n_owners
+    breakdown = {}
+    stats = CaseStats()
+    for i, t in enumerate(d.tuples):
+        for owner, v in iusv_tuple(t.syntheses, t.utility, gamma, stats=stats, **caps).items():
+            shares[owner] += v
+            breakdown[(i, owner)] = v
+    return tuple(shares), breakdown, stats
+
+
+@st.composite
+def relabelled_copies(draw):
+    """A few random antichains, each copied with its owners relabelled.
+
+    Half the copies relabel monotonically, which keeps the shape (a cache
+    hit); the others permute the owners arbitrarily. Utilities are fractions
+    with denominators from 2 to 7.
+    """
+    n_owners = draw(st.integers(4, 8))
+    tuples = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(3, n_owners))
+        owner = st.integers(0, k - 1)
+        groups = draw(st.lists(st.sets(owner, min_size=2, max_size=4), min_size=2, max_size=5))
+        groups += [[o] for o in draw(st.sets(owner, max_size=1))]
+        for _ in range(draw(st.integers(1, 3))):
+            targets = draw(st.permutations(range(n_owners)))[:k]
+            if draw(st.booleans()):
+                targets = sorted(targets)
+            utility = F(draw(st.integers(1, 50)), draw(st.integers(2, 7)))
+            tuples.append((utility, mk(n_owners, *[[targets[o] for o in g] for g in groups])))
+    return coalition(n_owners, *tuples)
+
+
+@settings(max_examples=200)
+@given(
+    d=relabelled_copies(),
+    gamma=st.sampled_from([0.5, 1.0, 2.0]),
+    sc_max_terms=st.sampled_from([DEFAULT_SC_MAX_TERMS, 1]),
+)
+def test_iusv_all_shape_cache_equals_per_tuple_iusv(d, gamma, sc_max_terms):
+    shares, breakdown, stats = uncached(d, gamma, sc_max_terms=sc_max_terms)
+    res = iusv_all(d, gamma, per_tuple=True, sc_max_terms=sc_max_terms)
+    assert res.allocation.shares == shares
+    assert res.allocation.per_tuple == breakdown
+    assert res.stats == stats
+    assert res.shape_cache_hits + res.shape_cache_misses == stats.general
+    for t in d.tuples:
+        owners, key = _shape_key(t.syntheses)
+        # the local masks are a canonical antichain as they stand
+        SynthesisSet(tuple(OwnerSet(len(owners), m) for m in key))
+
+
+def test_shape_cache_hits_on_relabelled_copies(caplog):
+    # COUNTER's shape on owners {0,1,2}, {3,5,6} and {2,4,6}: one miss, two hits
+    d = coalition(
+        7,
+        (F(1), mk(7, [0, 1], [0, 2])),
+        (F(3, 2), mk(7, [3, 5], [3, 6])),
+        (F(5), mk(7, [2, 4], [2, 6])),
+    )
+    with caplog.at_level("DEBUG", logger="assemblage_shapley.shapley"):
+        res = iusv_all(d)
+    assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 1)
+    assert res.allocation.shares == uncached(d)[0]
+    assert res.allocation.shares[3] == F(3, 2) * F(2, 3)
+    assert res.stats.general == 3 and res.stats.sc_calls == 9
+    assert [r.getMessage() for r in caplog.records] == [
+        "iusv_all: 3 general tuples, shape cache 2 hits, 1 misses (one per distinct shape)"
+    ]
+
+
+def test_shape_cache_replays_fallbacks():
+    # owner 0 of COUNTER needs 3 SC terms: over a cap of 1 it falls back to SL
+    d = coalition(6, (F(2), mk(6, [0, 1], [0, 2])), (F(7, 3), mk(6, [3, 4], [3, 5])))
+    res = iusv_all(d, sc_max_terms=1)
+    shares, _, stats = uncached(d, sc_max_terms=1)
+    assert res.allocation.shares == shares
+    assert res.stats == stats
+    assert (res.stats.fallbacks, res.shape_cache_hits) == (2, 1)
+
+
+def test_shape_cache_double_budget_failure_names_global_owner():
+    d = coalition(7, (F(1), mk(7, [4, 5], [4, 6])), (F(1), mk(7, [0, 1], [0, 2])))
+    with pytest.raises(CostLimitError) as got:
+        iusv_all(d, sc_max_terms=1, sl_max_owners=2)
+    with pytest.raises(CostLimitError) as want:
+        iusv_tuple(d.tuples[0].syntheses, F(1), sc_max_terms=1, sl_max_owners=2)
+    assert "owner 4 " in str(got.value)
+    assert str(got.value) == str(want.value)
