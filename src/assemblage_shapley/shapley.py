@@ -10,9 +10,11 @@ appearing in its minimal syntheses matter. Per tuple there are four routes:
   syntheses: closed form via one binomial coefficient;
 * otherwise, per owner, either the synthesis-combination (SC) route — an
   inclusion–exclusion over combinations of minimal syntheses, exponential in
-  the synthesis counts — or the synthesis-look-up (SL) route — a subset
-  enumeration over the tuple's owners, exponential in how many owners the
-  minimal syntheses mention. A hyper-parameter ``gamma`` picks between them.
+  the synthesis counts — or the synthesis-look-up (SL) route — a look-up in
+  a table of which subsets of the tuple's owners cover a synthesis,
+  exponential in how many owners the minimal syntheses mention. One table
+  (a bitset over the 2**n owner subsets) serves every SL-routed owner of a
+  tuple. A hyper-parameter ``gamma`` picks between the routes.
 
 All arithmetic is exact (``Fraction``); binomials are exact integers.
 """
@@ -22,7 +24,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .engine import CoalitionSet, SynthesisSet, _minimal_masks
@@ -236,6 +239,94 @@ def shapley_sc(
 
 # --- synthesis-look-up (SL) ---------------------------------------------------
 
+#: The SL table keeps the subsets of at most this many owner ranks in one
+#: Python int (2**16 bits, 8 KB); ranks above it are enumerated outside.
+_SL_BLOCK_BITS = 16
+
+
+@lru_cache(maxsize=None)
+def _sl_masks(width: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Bitsets over the 2**width subsets of ``width`` ranks, bit S meaning
+    subset S: for each rank b the subsets without b and those with b, and for
+    each size k the subsets of size k."""
+    # Adding rank b doubles the subsets: the new ones are the old shifted up
+    # by 2**b, with b added.
+    with_rank: list[int] = []
+    layers = [1]
+    for b in range(width):
+        shift = 1 << b
+        with_rank = [w | w << shift for w in with_rank] + [((1 << shift) - 1) << shift]
+        layers = [
+            (layers[k] if k <= b else 0) | (layers[k - 1] << shift if k else 0)
+            for k in range(b + 2)
+        ]
+    full = (1 << (1 << width)) - 1
+    return tuple(full ^ w for w in with_rank), tuple(with_rank), tuple(layers)
+
+
+def _sl_table(local: Sequence[int], max_owners: int) -> tuple[Fraction, ...]:
+    """SL values at utility 1 of every rank of a rank-relabelled tuple.
+
+    Bit S of ``win`` says that the owner subset S covers some synthesis: set
+    the bit of each synthesis mask, then close upwards one rank b at a time
+    with ``win |= (win & without[b]) << 2**b``. Rank b completes the tuple on
+    S (b not in S) iff S + b wins and S does not. Winning is monotone, so the
+    number of such S of size k is ``c_k = with_counts[b][k + 1] +
+    with_counts[b][k] - wins[k]``, where ``wins[k]`` counts the winning
+    subsets of size k and ``with_counts[b][k]`` those of them that contain b.
+    The value of b is ``1/n * sum_k c_k / C(n-1, k)``, summed exactly as
+    integers over the common denominator ``n!``.
+
+    Both counts are popcounts against the size layers, so the table is
+    counted one block at a time: the lowest ``_SL_BLOCK_BITS`` ranks index
+    the bits of a block, each subset H of the higher ranks is one block, and
+    the block's sizes are offset by |H|. No int exceeds 2**_SL_BLOCK_BITS
+    bits. Closing takes about n * 2**n bit operations and counting about
+    n**2 popcounts over the same bits. More than ``max_owners`` owners raises
+    :class:`CostLimitError` before any of it is built.
+    """
+    union = 0
+    for m in local:
+        union |= m
+    n = union.bit_length()
+    if n > max_owners:
+        raise CostLimitError(f"{n} synthesis owners exceeds the SL cap of {max_owners}")
+    low_n = min(n, _SL_BLOCK_BITS)
+    low_mask = (1 << low_n) - 1
+    without, with_rank, layers = _sl_masks(low_n)
+    wins = [0] * (n + 1)
+    with_counts = [[0] * (n + 1) for _ in range(n)]
+    for high in range(1 << (n - low_n)):
+        win = 0
+        for m in local:
+            if not (m >> low_n) & ~high:
+                win |= 1 << (m & low_mask)
+        if not win:
+            continue
+        for b in range(low_n):
+            win |= (win & without[b]) << (1 << b)
+        high_ranks = [low_n + r for r in _bit_indices(high)]
+        for k, layer in enumerate(layers, start=high.bit_count()):
+            x = win & layer
+            if not x:
+                continue
+            count = x.bit_count()
+            wins[k] += count
+            for r in high_ranks:
+                with_counts[r][k] += count
+            for b in range(low_n):
+                with_counts[b][k] += (x & with_rank[b]).bit_count()
+    # 1 / (n * C(n-1, k)) = k! (n-1-k)! / n!
+    weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
+    return tuple(
+        Fraction(
+            sum(w * (counts[k + 1] + counts[k] - wins[k]) for k, w in enumerate(weights)),
+            factorial(n),
+        )
+        for counts in with_counts
+    )
+
+
 def shapley_sl(
     owner: int,
     s: SynthesisSet,
@@ -245,52 +336,18 @@ def shapley_sl(
 ) -> Fraction:
     """Synthesis-look-up value of ``owner`` for one tuple.
 
-    Enumerates the subsets S of the tuple's other synthesis owners and checks
-    the owner's marginal contribution against the materialized syntheses: the
-    owner completes the tuple iff some synthesis containing it is covered by
-    ``S + owner`` while no synthesis without it is covered by ``S`` alone.
-    Cost is exponential in the number of synthesis owners; above
-    ``max_owners`` raises :class:`CostLimitError`.
+    Looks the owner's marginal contributions up in the tuple's coverage table
+    over all subsets of its synthesis owners (:func:`_sl_table`): the owner
+    completes the tuple on a subset S of the others iff some synthesis is
+    covered by ``S + owner`` and none by ``S`` alone. The table serves every
+    owner of the tuple at once; this returns one owner's entry. Cost is
+    exponential in the number of synthesis owners; above ``max_owners``
+    raises :class:`CostLimitError`.
     """
-    universe = s.owners()
-    if owner not in universe:
+    owners, local = _rank_relabel(s)
+    if owner not in owners:
         return Fraction(0)
-    n = len(universe)
-    if n > max_owners:
-        raise CostLimitError(f"{n} synthesis owners exceeds the SL cap of {max_owners}")
-    others = [o for o in universe if o != owner]
-    pos = {o: i for i, o in enumerate(others)}
-
-    def remap(bits: int) -> int:
-        out = 0
-        for o in _bit_indices(bits):
-            out |= 1 << pos[o]
-        return out
-
-    with_owner = [remap(syn.bits & ~(1 << owner)) for syn in s if owner in syn]
-    without_owner = [remap(syn.bits) for syn in s if owner not in syn]
-
-    # counts[c] = number of qualifying subsets S with |S| = c
-    counts = [0] * n
-    for smask in range(1 << (n - 1)):
-        ok = False
-        for wmask in with_owner:
-            if smask & wmask == wmask:
-                ok = True
-                break
-        if not ok:
-            continue
-        for wmask in without_owner:
-            if smask & wmask == wmask:
-                ok = False
-                break
-        if ok:
-            counts[smask.bit_count()] += 1
-    total = sum(
-        (Fraction(c, comb(n - 1, size)) for size, c in enumerate(counts) if c),
-        Fraction(0),
-    )
-    return utility * total / n
+    return utility * _sl_table(local, max_owners)[owners.index(owner)]
 
 
 # --- IUSV driver ---------------------------------------------------------------
@@ -336,12 +393,15 @@ def iusv_tuple(
 
     Dispatches to the closed forms when they apply; otherwise routes each
     owner to SC when the tuple's owner count exceeds
-    ``gamma * max(m_u, m_u * m_not_u)`` and to SL when it does not. If the
-    preferred route exceeds its budget the other one is used silently; only a
-    double failure raises. Owners outside every synthesis are omitted (their
-    value is zero), and the returned values sum to ``utility`` exactly.
+    ``gamma * max(m_u, m_u * m_not_u)`` and to SL when it does not. The
+    tuple's SL table is built once, on its first SL-routed owner, and read for
+    every other one. If the preferred route exceeds its budget the other one
+    is used silently; only a double failure raises, and a ``gamma`` that is
+    not positive (NaN included) raises ``ValueError``. Owners outside every
+    synthesis are omitted (their value is zero), and the returned values sum
+    to ``utility`` exactly.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return _tuple_values(
         s, classify_tuple(s), utility, gamma, stats, sc_max_terms, sl_max_owners
@@ -369,9 +429,11 @@ def _tuple_values(
 
     if stats is not None:
         stats.general += 1
-    n_t = len(s.owners())
+    owners, local = _rank_relabel(s)
+    n_t = len(owners)
+    sl_table = None  # built on the first SL-routed owner, then shared
     out: dict[int, Fraction] = {}
-    for owner in s.owners():
+    for rank, owner in enumerate(owners):
         split = SynthesisSplit.for_owner(s, owner)
         prefer_sc = n_t > gamma * max(split.m_u, split.m_u * split.m_not_u)
         if prefer_sc:
@@ -384,7 +446,9 @@ def _tuple_values(
                 if route == "sc":
                     value = shapley_sc(owner, split, utility, max_terms=sc_max_terms)
                 else:
-                    value = shapley_sl(owner, s, utility, max_owners=sl_max_owners)
+                    if sl_table is None:
+                        sl_table = _sl_table(local, sl_max_owners)
+                    value = utility * sl_table[rank]
             except CostLimitError:
                 if i == 1:
                     raise CostLimitError(
@@ -404,7 +468,7 @@ def _tuple_values(
     return out
 
 
-def _shape_key(s: SynthesisSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _rank_relabel(s: SynthesisSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The tuple's owners in ascending order, and its synthesis masks with each
     owner relabelled to its rank among them.
 
@@ -467,7 +531,7 @@ def iusv_all(
     the shape, so a double budget failure still raises on the first tuple of
     a shape, naming that tuple's owner.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     shares = [Fraction(0)] * d.n_owners
     breakdown: dict[tuple[int, int], Fraction] | None = {} if per_tuple else None
@@ -479,7 +543,7 @@ def iusv_all(
         s = t.syntheses
         case = classify_tuple(s)
         if isinstance(case, General):
-            owners, key = _shape_key(s)
+            owners, key = _rank_relabel(s)
             entry = cache.get(key)
             if entry is None:
                 delta = CaseStats()

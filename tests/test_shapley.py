@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 from random import Random
 
@@ -25,9 +26,10 @@ from assemblage_shapley import (
 )
 
 from helpers import example_counter_tables, permutation_oracle, random_synthesis_set
+import assemblage_shapley.shapley as shapley_module
 from assemblage_shapley import evaluate_plan
 from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
-from assemblage_shapley.shapley import DEFAULT_SC_MAX_TERMS, _shape_key
+from assemblage_shapley.shapley import DEFAULT_SC_MAX_TERMS, _rank_relabel
 
 
 def mk(width, *groups):
@@ -166,9 +168,55 @@ def test_sl_absent_owner_is_zero():
     assert shapley_sl(2, mk(4, [0, 1]), F(1)) == F(0)
 
 
-def test_sl_owner_cap_raises_cost_error():
+def spanning_antichain(rng, n):
+    """A random antichain whose syntheses mention exactly the owners 0..n-1:
+    a random partition into two to four syntheses, plus up to two more of
+    two to four owners that may overlap them."""
+    while True:
+        owners = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+        groups = [owners[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        groups += [rng.sample(range(n), rng.randint(2, 4)) for _ in range(rng.randint(0, 2))]
+        s = mk(n, *groups)
+        if len(s.owners()) == n:
+            return s
+
+
+def test_sl_owner_cap_raises_cost_error(monkeypatch):
+    def no_table(width):
+        raise AssertionError(f"SL built a table of width {width} over the cap")
+
+    monkeypatch.setattr(shapley_module, "_sl_masks", no_table)
     with pytest.raises(CostLimitError):
         shapley_sl(0, COUNTER, F(1), max_owners=2)
+    # one owner over the default cap of 30: 2**31 subsets are never enumerated
+    wide = spanning_antichain(Random("sl-cap"), 31)
+    with pytest.raises(CostLimitError):
+        shapley_sl(0, wide, F(1))
+
+
+def test_sl_table_over_several_blocks_matches_sc():
+    # 17-20 owners: the table has 2 to 16 blocks of 2**16 subsets each
+    rng = Random("sl-blocks")
+    for n in (17, 18, 19, 20, 20):
+        s = spanning_antichain(rng, n)
+        utility = F(rng.randint(1, 9), rng.randint(1, 4))
+        for owner in s.owners():
+            want = shapley_sc(owner, SynthesisSplit.for_owner(s, owner), utility)
+            assert shapley_sl(owner, s, utility) == want
+
+
+def test_sl_memory_is_bounded_by_the_block_width():
+    # a 2**24-bit table held whole would need 2 MB per bitset
+    s = spanning_antichain(Random("sl-memory"), 24)
+    tracemalloc.start()
+    try:
+        value = shapley_sl(0, s, F(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert value == shapley_sc(0, SynthesisSplit.for_owner(s, 0), F(1))
 
 
 # --- cross-algorithm agreement (quick sweep; the big one is in acceptance) -------------
@@ -233,6 +281,17 @@ def test_iusv_gamma_does_not_change_values():
             1: F(1, 6),
             2: F(1, 6),
         }
+    # a tiny gamma routes every general-case owner to SC, a huge one to SL
+    rng = Random("gamma-routes")
+    for _ in range(60):
+        s = random_synthesis_set(rng, max_owners=9, max_syntheses=6)
+        utility = F(rng.randint(1, 9), rng.randint(1, 4))
+        all_sc, all_sl = CaseStats(), CaseStats()
+        assert iusv_tuple(s, utility, gamma=1e-9, stats=all_sc) == iusv_tuple(
+            s, utility, gamma=1e9, stats=all_sl
+        )
+        assert all_sc.sl_calls == all_sl.sc_calls == 0
+        assert all_sc.sc_calls == all_sl.sl_calls
 
 
 def test_iusv_silent_fallback_when_preferred_route_over_budget():
@@ -251,8 +310,12 @@ def test_iusv_double_budget_failure_raises():
 
 
 def test_iusv_rejects_nonpositive_gamma():
-    with pytest.raises(ValueError):
-        iusv_tuple(COUNTER, F(1), gamma=0)
+    d = coalition(3, (F(1), COUNTER))
+    for gamma in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            iusv_tuple(COUNTER, F(1), gamma=gamma)
+        with pytest.raises(ValueError):
+            iusv_all(d, gamma)
 
 
 def test_closed_form_cases_skip_routing():
@@ -386,7 +449,7 @@ def test_iusv_all_shape_cache_equals_per_tuple_iusv(d, gamma, sc_max_terms):
     assert res.stats == stats
     assert res.shape_cache_hits + res.shape_cache_misses == stats.general
     for t in d.tuples:
-        owners, key = _shape_key(t.syntheses)
+        owners, key = _rank_relabel(t.syntheses)
         # the local masks are a canonical antichain as they stand
         SynthesisSet(tuple(OwnerSet(len(owners), m) for m in key))
 
