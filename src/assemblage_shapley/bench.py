@@ -16,6 +16,7 @@ import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -317,16 +318,7 @@ class RunReport:
     @classmethod
     def for_config(cls, config: RunConfig, *, status: str = "ok", **fields) -> "RunReport":
         """A report on a run of ``config``, with the config's knobs filled in."""
-        return cls(
-            label=config.label,
-            method=config.method,
-            status=status,
-            gamma=config.gamma,
-            samples=config.samples,
-            seed=config.seed,
-            timeout_s=config.timeout_s,
-            **fields,
-        )
+        return cls(status=status, **asdict(config), **fields)
 
     def exact_allocation(self) -> Allocation | None:
         if self.allocation_exact is None:
@@ -463,6 +455,30 @@ def run_coalition(
     return _record_outcome(report, status, payload, elapsed, reference)
 
 
+def run_cell(
+    knobs: Mapping[str, Any],
+    load: Callable[[], tuple[PlanNode, Sequence[OwnedTable], int | None]],
+    *,
+    utility_fn=None,
+    reference: Allocation | None = None,
+) -> RunReport:
+    """Run one benchmark cell; whatever goes wrong is that cell's report.
+
+    ``knobs`` are all of :class:`RunConfig`'s fields, and ``load`` returns the
+    cell's plan, owner tables and owner count. Building the config, loading
+    and running all happen inside the boundary, so an invalid config or a
+    missing file gives this cell status ``error`` and the next cell still runs.
+    """
+    try:
+        config = RunConfig(**knobs)
+        plan, tables, n_owners = load()
+        return run_method(
+            config, plan, tables, n_owners=n_owners, utility_fn=utility_fn, reference=reference
+        )
+    except Exception as exc:  # noqa: BLE001 - matrix isolation
+        return RunReport(status="error", error=f"{type(exc).__name__}: {exc}", **knobs)
+
+
 def run_benchmark(
     cells: Sequence[tuple[RunConfig, PlanNode, Sequence[OwnedTable]]],
     *,
@@ -478,52 +494,23 @@ def run_benchmark(
     pool, runtimes reflect contention, and per-cell timeouts are not enforced
     (the pool workers cannot fork watchdog children).
     """
-    def one(cell):
-        config, plan, tables = cell
-        try:
-            return run_method(
-                config,
-                plan,
-                tables,
-                n_owners=n_owners,
-                utility_fn=utility_fn,
-                reference=reference,
-            )
-        except Exception as exc:  # noqa: BLE001 - matrix isolation
-            return RunReport.for_config(
-                config, status="error", error=f"{type(exc).__name__}: {exc}"
-            )
-
+    run = partial(_run_bench_cell, n_owners, utility_fn, reference)
     if not parallel:
-        return [one(c) for c in cells]
+        return [run(c) for c in cells]
+    cells = [(replace(config, timeout_s=None), plan, tables) for config, plan, tables in cells]
     with multiprocessing.get_context("fork").Pool() as pool:
-        return pool.map(_BenchCellRunner(n_owners, utility_fn, reference), list(cells))
+        return pool.map(run, cells)
 
 
-class _BenchCellRunner:
-    """Picklable cell runner for the parallel benchmark mode."""
-
-    def __init__(self, n_owners, utility_fn, reference):
-        self.n_owners = n_owners
-        self.utility_fn = utility_fn
-        self.reference = reference
-
-    def __call__(self, cell):
-        config, plan, tables = cell
-        config = replace(config, timeout_s=None)
-        try:
-            return run_method(
-                config,
-                plan,
-                tables,
-                n_owners=self.n_owners,
-                utility_fn=self.utility_fn,
-                reference=self.reference,
-            )
-        except Exception as exc:  # noqa: BLE001
-            return RunReport.for_config(
-                config, status="error", error=f"{type(exc).__name__}: {exc}"
-            )
+def _run_bench_cell(n_owners, utility_fn, reference, cell) -> RunReport:
+    """:func:`run_cell` on one ``(config, plan, tables)`` cell of :func:`run_benchmark`."""
+    config, plan, tables = cell
+    return run_cell(
+        asdict(config),
+        lambda: (plan, tables, n_owners),
+        utility_fn=utility_fn,
+        reference=reference,
+    )
 
 
 # --- report serialization -----------------------------------------------------------

@@ -21,12 +21,12 @@ from pathlib import Path
 
 from .bench import (
     RunConfig,
-    RunReport,
     ingest_csv,
     load_assignment,
     reports_from_json,
     reports_to_csv,
     reports_to_json,
+    run_cell,
     run_coalition,
     run_method,
     write_assignment,
@@ -136,29 +136,32 @@ def _cmd_bench(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         matrix = json.load(fh)
     reports = []
+
+    def save():  # after every cell, so a crash keeps the cells already done
+        reports_to_json(reports, args.out)
+        if args.csv_out:
+            reports_to_csv(reports, args.csv_out)
+
+    save()
     for cell in matrix["cells"]:
-        config = RunConfig(
-            method=cell["method"],
+        knobs = dict(
+            method=cell.get("method"),
             gamma=cell.get("gamma", 1.0),
             samples=cell.get("samples", 16),
             seed=cell.get("seed", 0),
             timeout_s=cell.get("timeout", args.timeout),
-            label=cell.get("label", cell["method"]),
+            label=cell.get("label", cell.get("method")),
         )
-        tables, n_owners, _ = load_assignment(cell.get("manifest", args.manifest))
-        plan = load_plan(cell.get("plan", args.plan))
-        try:
-            report = run_method(config, plan, tables, n_owners=n_owners)
-        except AssemblageError as exc:
-            report = RunReport.for_config(
-                config, status="error", error=f"{type(exc).__name__}: {exc}"
-            )
+
+        def load(cell=cell):
+            tables, n_owners, _ = load_assignment(cell.get("manifest", args.manifest))
+            return load_plan(cell.get("plan", args.plan)), tables, n_owners
+
+        report = run_cell(knobs, load)
         reports.append(report)
         print(f"[{report.label}] {report.method}: {report.status} "
               f"runtime={report.runtime_seconds}")
-    reports_to_json(reports, args.out)
-    if args.csv_out:
-        reports_to_csv(reports, args.csv_out)
+        save()
     print(f"{len(reports)} cells -> {args.out}")
     return 0
 

@@ -2,10 +2,15 @@
 
 Evaluating a coalition plan produces the deduplicated coalition set. Alongside
 each output tuple we carry its syntheses: the owner sets that can jointly
-produce an instance of that tuple. Witness lists are kept minimal (an antichain
-under set inclusion) incrementally, after every operator that can merge or
-combine them; subsumed witnesses can never become minimal again under the
-monotone operators used here, so early pruning is safe.
+produce an instance of that tuple. Witness lists are kept in the normal form
+of the why-provenance (PosBool) semiring (Green, Karvounarakis & Tannen, PODS
+2007): an antichain in canonical (cardinality, bits) order. A subsumed witness
+never becomes minimal again under these monotone operators, so each row is
+minimalised once, where its witnesses combine. A scan reads owners in
+ascending order, so its distinct singleton witnesses are already canonical; a
+join minimalises each matching pair's unions, and no two pairs give one row;
+a projection or union minimalises only rows that collide. The output rows are
+checked against the cap and wrapped without re-validation.
 """
 
 from __future__ import annotations
@@ -25,6 +30,18 @@ Row = tuple
 DEFAULT_MAX_SYNTHESES = 64
 
 
+def _normalise_rows(table, where: str) -> None:
+    """Store ``table``'s schema and deduplicated rows as tuples; a row of the
+    wrong arity is a :class:`PlanError` naming ``where``."""
+    schema = tuple(table.schema)
+    rows = tuple(map(tuple, table.rows))
+    for row in rows:
+        if len(row) != len(schema):
+            raise PlanError(f"row arity {len(row)} != schema arity {len(schema)} in {where}")
+    object.__setattr__(table, "schema", schema)
+    object.__setattr__(table, "rows", tuple(dict.fromkeys(rows)))
+
+
 @dataclass(frozen=True)
 class SourceTable:
     """A logical table before any owner assignment."""
@@ -34,19 +51,7 @@ class SourceTable:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
-        seen = set()
-        deduped = []
-        for row in self.rows:
-            row = tuple(row)
-            if len(row) != len(self.schema):
-                raise PlanError(
-                    f"row arity {len(row)} != schema arity {len(self.schema)} in table {self.name!r}"
-                )
-            if row not in seen:
-                seen.add(row)
-                deduped.append(row)
-        object.__setattr__(self, "rows", tuple(deduped))
-        object.__setattr__(self, "schema", tuple(self.schema))
+        _normalise_rows(self, f"table {self.name!r}")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -68,20 +73,7 @@ class OwnedTable:
     def __post_init__(self):
         if self.owner < 0:
             raise ValueError(f"owner index must be >= 0, got {self.owner}")
-        seen = set()
-        deduped = []
-        for row in self.rows:
-            row = tuple(row)
-            if len(row) != len(self.schema):
-                raise PlanError(
-                    f"row arity {len(row)} != schema arity {len(self.schema)} "
-                    f"in table {self.table!r} of owner {self.owner}"
-                )
-            if row not in seen:
-                seen.add(row)
-                deduped.append(row)
-        object.__setattr__(self, "rows", tuple(deduped))
-        object.__setattr__(self, "schema", tuple(self.schema))
+        _normalise_rows(self, f"table {self.table!r} of owner {self.owner}")
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -97,6 +89,19 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
+def _synthesis_masks(syntheses: Sequence[OwnerSet]) -> list[int]:
+    """The masks of a non-empty list of non-empty owner sets of one width."""
+    if not syntheses:
+        raise ValueError("a coalition tuple must have at least one synthesis")
+    width = syntheses[0].width
+    for s in syntheses:
+        if s.width != width:
+            raise ValueError("syntheses span different owner universes")
+        if not s:
+            raise ValueError("empty owner set cannot be a synthesis")
+    return [s.bits for s in syntheses]
+
+
 @dataclass(frozen=True)
 class SynthesisSet:
     """The minimal syntheses of one coalition tuple: a non-empty antichain."""
@@ -104,16 +109,7 @@ class SynthesisSet:
     syntheses: tuple[OwnerSet, ...]
 
     def __post_init__(self):
-        if not self.syntheses:
-            raise ValueError("a coalition tuple must have at least one synthesis")
-        width = self.syntheses[0].width
-        masks = []
-        for s in self.syntheses:
-            if s.width != width:
-                raise ValueError("syntheses span different owner universes")
-            if not s:
-                raise ValueError("empty owner set cannot be a synthesis")
-            masks.append(s.bits)
+        masks = _synthesis_masks(self.syntheses)
         if masks != _minimal_masks(masks):
             raise ValueError(
                 "syntheses must be a deduplicated antichain in canonical order; "
@@ -123,6 +119,13 @@ class SynthesisSet:
     @classmethod
     def from_sets(cls, syntheses: Iterable[OwnerSet]) -> "SynthesisSet":
         return minimalize(syntheses)
+
+    @classmethod
+    def _trusted(cls, syntheses: tuple[OwnerSet, ...]) -> "SynthesisSet":
+        """Wrap syntheses known to pass ``__post_init__``, without running it."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "syntheses", syntheses)
+        return s
 
     @property
     def width(self) -> int:
@@ -151,16 +154,8 @@ def minimalize(syntheses: Iterable[OwnerSet]) -> SynthesisSet:
     Output order is canonical: by cardinality, then by bit pattern.
     """
     syntheses = list(syntheses)
-    if not syntheses:
-        raise ValueError("cannot minimalize an empty synthesis list")
-    width = syntheses[0].width
-    for s in syntheses:
-        if s.width != width:
-            raise ValueError("syntheses span different owner universes")
-        if not s:
-            raise ValueError("empty owner set cannot be a synthesis")
-    kept = _minimal_masks(s.bits for s in syntheses)
-    return SynthesisSet(tuple(OwnerSet(width, m) for m in kept))
+    kept = _minimal_masks(_synthesis_masks(syntheses))
+    return SynthesisSet._trusted(tuple(OwnerSet(syntheses[0].width, m) for m in kept))
 
 
 @dataclass(frozen=True)
@@ -196,6 +191,9 @@ class CoalitionSet:
 def _catalog(tables: Sequence[OwnedTable]) -> dict[str, tuple[str, ...]]:
     catalog: dict[str, tuple[str, ...]] = {}
     for t in tables:
+        # a repeated name would let two right rows give one join output row
+        if len(set(t.schema)) != len(t.schema):
+            raise PlanError(f"table {t.table!r} repeats an attribute name: {t.schema}")
         if t.table in catalog:
             if catalog[t.table] != t.schema:
                 raise PlanError(
@@ -258,7 +256,7 @@ def evaluate_plan(
     output_schema(plan, catalog)  # type-check the whole tree up front
 
     by_name: dict[str, list[OwnedTable]] = {}
-    for t in tables:
+    for t in sorted(tables, key=lambda t: t.owner):
         by_name.setdefault(t.table, []).append(t)
 
     def eval_node(node: PlanNode) -> tuple[tuple[str, ...], Relation]:
@@ -266,17 +264,14 @@ def evaluate_plan(
             schema = catalog[node.table]
             where = [(schema.index(a), v) for a, v in node.where]
             rel: Relation = {}
-            seen: dict[Row, int] = {}
-            for t in by_name[node.table]:
+            for t in by_name[node.table]:  # ascending owners
                 mask = 1 << t.owner
                 for row in t.rows:
                     if any(row[i] != v for i, v in where):
                         continue
-                    present = seen.get(row, 0)
-                    if present & mask:
-                        continue
-                    seen[row] = present | mask
-                    rel.setdefault(row, []).append(mask)
+                    masks = rel.setdefault(row, [])
+                    if not masks or masks[-1] != mask:  # one owner, two copies of the table
+                        masks.append(mask)
             return schema, rel
 
         if isinstance(node, Project):
@@ -316,6 +311,7 @@ def evaluate_plan(
             for lrow, lmasks in lrel.items():
                 key = tuple(lrow[i] for i in lkey)
                 for rrow, rmasks in index.get(key, ()):
+                    # rrow is its key plus its kept columns: rows never collide
                     row = lrow + tuple(rrow[i] for i in rkeep)
                     combined = _minimal_masks(lm | rm for lm in lmasks for rm in rmasks)
                     if len(combined) > max_syntheses:
@@ -323,7 +319,7 @@ def evaluate_plan(
                             f"tuple {row!r} accumulated {len(combined)} minimal syntheses "
                             f"(cap {max_syntheses}) during join"
                         )
-                    _merge_into(out, [(row, combined)], max_syntheses, "join")
+                    out[row] = combined
             return out_schema, out
 
         if isinstance(node, Union):
@@ -340,12 +336,12 @@ def evaluate_plan(
 
     tuples = []
     for row, masks in rel.items():
-        minimal = _minimal_masks(masks)
-        if len(minimal) > max_syntheses:
+        # the only cap check for scan rows and rows no projection merged
+        if len(masks) > max_syntheses:
             raise SynthesisLimitError(
-                f"tuple {row!r} has {len(minimal)} minimal syntheses (cap {max_syntheses})"
+                f"tuple {row!r} has {len(masks)} minimal syntheses (cap {max_syntheses})"
             )
-        syntheses = SynthesisSet(tuple(OwnerSet(n_owners, m) for m in minimal))
+        syntheses = SynthesisSet._trusted(tuple(OwnerSet(n_owners, m) for m in masks))
         utility = as_utility(utility_fn(row)) if utility_fn is not None else Fraction(1)
         tuples.append(CoalitionTuple(values=row, utility=utility, syntheses=syntheses))
     return CoalitionSet(schema=schema, tuples=tuple(tuples), n_owners=n_owners)

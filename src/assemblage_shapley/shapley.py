@@ -416,8 +416,10 @@ def _tuple_values(
     stats: CaseStats | None,
     sc_max_terms: int,
     sl_max_owners: int,
+    relabelled: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> dict[int, Fraction]:
-    """:func:`iusv_tuple` for a tuple already classified as ``case``."""
+    """:func:`iusv_tuple` for a tuple already classified as ``case``;
+    ``relabelled`` is its :func:`_rank_relabel`, if the caller has it."""
     if isinstance(case, SingleOwnerOnly):
         if stats is not None:
             stats.single_owner_only += 1
@@ -429,7 +431,7 @@ def _tuple_values(
 
     if stats is not None:
         stats.general += 1
-    owners, local = _rank_relabel(s)
+    owners, local = relabelled if relabelled is not None else _rank_relabel(s)
     n_t = len(owners)
     sl_table = None  # built on the first SL-routed owner, then shared
     out: dict[int, Fraction] = {}
@@ -548,7 +550,8 @@ def iusv_all(
             if entry is None:
                 delta = CaseStats()
                 unit = _tuple_values(
-                    s, case, Fraction(1), gamma, delta, sc_max_terms, sl_max_owners
+                    s, case, Fraction(1), gamma, delta, sc_max_terms, sl_max_owners,
+                    (owners, key),
                 )
                 entry = cache[key] = (tuple(unit[o] for o in owners), delta)
             else:

@@ -228,6 +228,69 @@ def test_bench_matrix(tmp_path):
     assert report_csv.exists()
 
 
+def _bench(tmp_path, outdir, cells):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"cells": cells}))
+    return main(
+        [
+            "bench", "--matrix", str(matrix),
+            "--manifest", str(outdir / "manifest.json"), "--plan", str(DATA / "plan.json"),
+            "--timeout", "120",
+            "--out", str(tmp_path / "bench.json"), "--csv-out", str(tmp_path / "bench.csv"),
+        ]
+    )
+
+
+def test_bench_keeps_finished_cells_when_a_cell_cannot_load_or_configure(tmp_path):
+    outdir = _gen(tmp_path)
+    rc = _bench(
+        tmp_path,
+        outdir,
+        [
+            {"label": "done", "method": "iusv"},
+            {"label": "lost", "method": "iusv", "manifest": str(tmp_path / "nope/manifest.json")},
+            {"label": "bad-plan", "method": "iusv", "plan": str(tmp_path / "nope.json")},
+            {"method": "bogus"},
+            {"label": "after", "method": "iusv", "gamma": 2.0},
+        ],
+    )
+    assert rc == 0
+    reports = json.loads((tmp_path / "bench.json").read_text())
+    assert [r["label"] for r in reports] == ["done", "lost", "bad-plan", "bogus", "after"]
+    assert [r["status"] for r in reports] == ["ok", "error", "error", "error", "ok"]
+    assert reports[1]["error"].startswith("FileNotFoundError")
+    assert reports[2]["error"].startswith("FileNotFoundError")
+    assert reports[3]["error"].startswith("ValueError: method must be one of")
+    assert reports[3]["method"] == "bogus" and reports[3]["timeout_s"] == 120.0
+    assert reports[0]["allocation_exact"] == reports[4]["allocation_exact"]
+    assert len(bench.reports_from_csv(tmp_path / "bench.csv")) == 5
+
+
+def test_bench_writes_reports_after_every_cell(tmp_path, monkeypatch):
+    outdir = _gen(tmp_path)
+    real_run_method = bench.run_method
+    calls = []
+
+    def interrupted_second_cell(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_run_method(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_method", interrupted_second_cell)
+    with pytest.raises(KeyboardInterrupt):
+        _bench(tmp_path, outdir, [{"label": label, "method": "iusv"} for label in "ab"])
+    reports = json.loads((tmp_path / "bench.json").read_text())
+    assert [(r["label"], r["status"]) for r in reports] == [("a", "ok")]
+    assert len(bench.reports_from_csv(tmp_path / "bench.csv")) == 1
+
+
+def test_bench_empty_matrix_writes_empty_reports(tmp_path):
+    outdir = _gen(tmp_path)
+    assert _bench(tmp_path, outdir, []) == 0
+    assert json.loads((tmp_path / "bench.json").read_text()) == []
+
+
 def test_shapley_coalition_honours_timeout(tmp_path, monkeypatch):
     plan, tables = example_counter_tables()
     coalition = tmp_path / "coalition.json"

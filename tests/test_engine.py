@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import assemblage_shapley.engine as engine_module
 from assemblage_shapley import (
     EquiJoin,
     NaturalJoin,
@@ -11,6 +12,7 @@ from assemblage_shapley import (
     PlanError,
     Project,
     Scan,
+    SourceTable,
     SynthesisLimitError,
     SynthesisSet,
     Union,
@@ -20,7 +22,11 @@ from assemblage_shapley import (
     plan_to_json,
     restrict_tables,
 )
-from assemblage_shapley.engine import coalition_from_dict, coalition_to_dict
+from assemblage_shapley.engine import (
+    DEFAULT_MAX_SYNTHESES,
+    coalition_from_dict,
+    coalition_to_dict,
+)
 
 from helpers import example_counter_tables, example_mapping_tables, random_mini_dataset
 
@@ -69,6 +75,10 @@ def test_synthesis_set_validates_antichain():
         SynthesisSet(tuple(osets(3, [0], [0, 1])))
     with pytest.raises(ValueError):
         SynthesisSet(())
+    with pytest.raises(ValueError, match="canonical order"):
+        SynthesisSet(tuple(osets(3, [1], [0])))
+    with pytest.raises(ValueError, match="canonical order"):
+        SynthesisSet(tuple(osets(3, [0], [0])))
 
 
 def test_synthesis_set_owners_union():
@@ -143,6 +153,34 @@ def test_same_row_held_by_many_owners_yields_singleton_witnesses():
     assert [sorted(s) for s in t.syntheses] == [[0], [1], [2], [3]]
 
 
+def test_scan_witnesses_are_canonical_whatever_the_table_order():
+    # owner 1 holds two copies of the table; the scan reads owners in order
+    tables = [
+        OwnedTable("t", 3, ("x",), ((7,),)),
+        OwnedTable("t", 1, ("x",), ((7,), (8,))),
+        OwnedTable("t", 0, ("x",), ((8,),)),
+        OwnedTable("t", 1, ("x",), ((7,),)),
+    ]
+    d = evaluate_plan(Scan("t"), tables)
+    assert {t.values: t.syntheses.masks() for t in d} == {(7,): (0b10, 0b1000), (8,): (1, 0b10)}
+    assert d == evaluate_plan(Scan("t"), tables[::-1])
+
+
+def test_each_output_row_is_minimalised_once(monkeypatch):
+    calls = []
+    real = engine_module._minimal_masks
+    monkeypatch.setattr(
+        engine_module, "_minimal_masks", lambda masks: calls.append(1) or real(masks)
+    )
+    scan_tables = [OwnedTable("t", o, ("x",), ((7,), (o,))) for o in range(4)]
+    evaluate_plan(Scan("t"), scan_tables)
+    assert calls == []  # singleton witnesses need no pass
+    lefts = [OwnedTable("l", o, ("k", "a"), ((1, "x"), (2, "x"))) for o in range(3)]
+    rights = [OwnedTable("r", o + 3, ("k", "b"), ((1, "y"), (2, "y"))) for o in range(3)]
+    d = evaluate_plan(NaturalJoin(Scan("l"), Scan("r")), lefts + rights)
+    assert len(d) == 2 and len(calls) == 2  # one per join output row
+
+
 def test_utility_fn_applied_and_validated():
     t = OwnedTable("t", 0, ("x",), ((1,), (2,)))
     d = evaluate_plan(Scan("t"), [t], utility_fn=lambda row: Fraction(row[0], 2))
@@ -187,8 +225,25 @@ def test_schema_disagreement_between_owners_rejected():
 
 
 def test_row_arity_validation():
-    with pytest.raises(PlanError):
+    with pytest.raises(PlanError, match="in table 'a' of owner 0"):
         OwnedTable("a", 0, ("x", "y"), ((1,),))
+    with pytest.raises(PlanError, match="row arity 1 != schema arity 2 in table 'a'$"):
+        SourceTable("a", ("x", "y"), ((1, 2), (1,)))
+
+
+def test_row_dedupe_keeps_first_seen_order():
+    t = OwnedTable("a", 0, ["x"], [[2], (1,), [2]])
+    assert (t.schema, t.rows) == (("x",), ((2,), (1,)))
+    s = SourceTable("a", ["x"], [[2], (1,), [2]])
+    assert (s.schema, s.rows) == (("x",), ((2,), (1,)))
+
+
+def test_repeated_attribute_name_rejected():
+    # with "k" twice, rows (1, "p", 1) and (1, "p", 2) would join to one row
+    left = OwnedTable("l", 0, ("k",), ((1,),))
+    right = OwnedTable("r", 1, ("k", "v", "k"), ((1, "p", 1), (1, "p", 2)))
+    with pytest.raises(PlanError, match="repeats an attribute name"):
+        evaluate_plan(NaturalJoin(Scan("l"), Scan("r")), [left, right])
 
 
 # --- synthesis blowup cap ---------------------------------------------------------
@@ -202,6 +257,21 @@ def test_synthesis_cap_aborts_with_diagnostic():
     assert len(d.tuples[0].syntheses) == 9
     with pytest.raises(SynthesisLimitError):
         evaluate_plan(plan, lefts + rights, max_syntheses=4)
+
+
+@pytest.mark.parametrize(
+    "plan", [Scan("t"), Project(Scan("t"), ("x",))], ids=["scan", "project"]
+)
+def test_synthesis_cap_on_rows_no_operator_combines(plan):
+    # no join and no projection collision: the output pass is the only check
+    n = DEFAULT_MAX_SYNTHESES + 1
+    tables = [OwnedTable("t", o, ("x", "y"), ((7, "a"),)) for o in range(n)]
+    with pytest.raises(SynthesisLimitError, match=f"{n} minimal syntheses"):
+        evaluate_plan(plan, tables)
+    (t,) = evaluate_plan(plan, tables[1:]).tuples
+    assert len(t.syntheses) == DEFAULT_MAX_SYNTHESES
+    with pytest.raises(SynthesisLimitError):
+        evaluate_plan(plan, tables[:5], max_syntheses=4)
 
 
 # --- determinism and restriction ----------------------------------------------------
@@ -221,11 +291,17 @@ def test_restrict_tables_keeps_universe_width():
 
 def test_witness_soundness_and_minimality_on_random_instances():
     rng = Random("witness-soundness")
+    order_rng = Random("table-order")
     checked = 0
     for _ in range(40):
         plan, tables, n_owners = random_mini_dataset(rng)
         d = evaluate_plan(plan, tables, n_owners=n_owners)
+        # the input order of the tables changes nothing, not even tuple order
+        for order in (tables[::-1], order_rng.sample(tables, len(tables))):
+            assert evaluate_plan(plan, order, n_owners=n_owners) == d
         for t in d:
+            # the unvalidated output passes the public validating constructor
+            assert SynthesisSet(t.syntheses.syntheses) == t.syntheses
             for syn in t.syntheses:
                 sub = evaluate_plan(
                     plan, restrict_tables(tables, syn), n_owners=n_owners
@@ -270,6 +346,19 @@ def test_coalition_set_json_roundtrip():
     plan, tables = example_mapping_tables()
     d = evaluate_plan(plan, tables)
     assert coalition_from_dict(coalition_to_dict(d)) == d
+
+
+def test_coalition_from_dict_minimalises_witness_lists():
+    data = {
+        "schema": ["x"],
+        "n_owners": 4,
+        "tuples": [
+            {"values": [1], "utility": "1/1", "syntheses": [[2, 3], [0, 1], [0], [3], [0]]}
+        ],
+    }
+    (t,) = coalition_from_dict(data).tuples
+    assert [sorted(s) for s in t.syntheses] == [[0], [3]]
+    assert SynthesisSet(t.syntheses.syntheses) == t.syntheses
 
 
 def test_coalition_roundtrip_preserves_fraction_cells():

@@ -454,7 +454,7 @@ def test_iusv_all_shape_cache_equals_per_tuple_iusv(d, gamma, sc_max_terms):
         SynthesisSet(tuple(OwnerSet(len(owners), m) for m in key))
 
 
-def test_shape_cache_hits_on_relabelled_copies(caplog):
+def test_shape_cache_hits_on_relabelled_copies(caplog, monkeypatch):
     # COUNTER's shape on owners {0,1,2}, {3,5,6} and {2,4,6}: one miss, two hits
     d = coalition(
         7,
@@ -462,8 +462,15 @@ def test_shape_cache_hits_on_relabelled_copies(caplog):
         (F(3, 2), mk(7, [3, 5], [3, 6])),
         (F(5), mk(7, [2, 4], [2, 6])),
     )
+    relabels = []
+    real_relabel = shapley_module._rank_relabel
+    monkeypatch.setattr(
+        shapley_module, "_rank_relabel", lambda s: relabels.append(s) or real_relabel(s)
+    )
     with caplog.at_level("DEBUG", logger="assemblage_shapley.shapley"):
         res = iusv_all(d)
+    # one relabelling per general tuple: the miss reuses the key's
+    assert len(relabels) == 3
     assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 1)
     assert res.allocation.shares == uncached(d)[0]
     assert res.allocation.shares[3] == F(3, 2) * F(2, 3)
