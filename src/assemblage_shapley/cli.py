@@ -134,7 +134,15 @@ def _cmd_shapley(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
-        matrix = json.load(fh)
+        try:
+            matrix = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise AssemblageError(f"matrix {args.matrix} is not JSON: {exc}") from None
+    cells = matrix.get("cells") if isinstance(matrix, dict) else None
+    if not (isinstance(cells, list) and all(isinstance(cell, dict) for cell in cells)):
+        raise AssemblageError(
+            f'matrix {args.matrix} must be an object whose "cells" is a list of objects'
+        )
     reports = []
 
     def save():  # after every cell, so a crash keeps the cells already done
@@ -143,7 +151,7 @@ def _cmd_bench(args) -> int:
             reports_to_csv(reports, args.csv_out)
 
     save()
-    for cell in matrix["cells"]:
+    for cell in cells:
         knobs = dict(
             method=cell.get("method"),
             gamma=cell.get("gamma", 1.0),

@@ -16,16 +16,26 @@ appearing in its minimal syntheses matter. Per tuple there are four routes:
   (a bitset over the 2**n owner subsets) serves every SL-routed owner of a
   tuple. A hyper-parameter ``gamma`` picks between the routes.
 
-All arithmetic is exact (``Fraction``); binomials are exact integers.
+The driver :func:`iusv_all` computes each distinct witness list (a tuple's
+antichain of minimal syntheses, the normal form of its why-provenance) once,
+at utility 1: values are linear in the utility, so the tuples that share a
+list contribute their utility sum times the list's unit values. A shape
+cache further shares the computation between lists that differ only by an
+owner relabelling.
+
+All arithmetic is exact (``Fraction``); binomials are exact integers. The
+driver sums each owner's share as integer numerators keyed by denominator
+and builds one ``Fraction`` per owner at the end.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence
 
 from .engine import CoalitionSet, SynthesisSet, _minimal_masks
@@ -371,13 +381,14 @@ class CaseStats:
     def general_calls(self) -> int:
         return self.sc_calls + self.sl_calls
 
-    def merge(self, other: "CaseStats") -> None:
-        self.single_owner_only += other.single_owner_only
-        self.unique_multi += other.unique_multi
-        self.general += other.general
-        self.sc_calls += other.sc_calls
-        self.sl_calls += other.sl_calls
-        self.fallbacks += other.fallbacks
+    def merge(self, other: "CaseStats", times: int = 1) -> None:
+        """Add ``other``'s counts, ``times`` over."""
+        self.single_owner_only += times * other.single_owner_only
+        self.unique_multi += times * other.unique_multi
+        self.general += times * other.general
+        self.sc_calls += times * other.sc_calls
+        self.sl_calls += times * other.sl_calls
+        self.fallbacks += times * other.fallbacks
 
 
 def iusv_tuple(
@@ -507,6 +518,19 @@ class IusvResult:
     shape_cache_misses: int = 0
 
 
+@dataclass(slots=True)
+class _WitnessGroup:
+    """The tuples of one :func:`iusv_all` run that share a witness list."""
+
+    syntheses: SynthesisSet  # the first of them
+    count: int = 0
+    #: their utilities' numerators summed by denominator, so that grouping
+    #: does no ``Fraction`` arithmetic
+    utility_sums: defaultdict[int, int] = field(default_factory=lambda: defaultdict(int))
+    #: the list's values at utility 1, by owner
+    unit: dict[int, Fraction] | None = None
+
+
 def iusv_all(
     d: CoalitionSet,
     gamma: float = DEFAULT_GAMMA,
@@ -521,28 +545,45 @@ def iusv_all(
     case statistics are collected for reporting. With ``per_tuple=True`` the
     allocation also carries every (tuple index, owner) contribution.
 
-    General-case tuples go through a shape cache that lives for this call. A
-    tuple's values depend only on its antichain of minimal syntheses, and
-    linearly on its utility; by the symmetry axiom, two antichains that differ
-    by an owner relabelling get the same values, relabelled. So each shape
-    (masks with owners relabelled to their rank in the tuple) is computed once,
-    at utility 1, on the first tuple that has it; every tuple of that shape
-    then scales the per-rank values by its utility and maps ranks back to its
-    owners. The shape's case counts are replayed per tuple, so ``stats`` is
-    the same as without the cache. Routing and both budgets depend only on
-    the shape, so a double budget failure still raises on the first tuple of
-    a shape, naming that tuple's owner.
+    A tuple's values depend only on its antichain of minimal syntheses (its
+    witness list), and linearly on its utility. So the tuples are first
+    grouped by witness list, in first-seen order, and each list is classified
+    and computed once, at utility 1. Since ``sum_t u_t * v = (sum_t u_t) * v``,
+    an owner's share from a group is the group's utility sum times the
+    owner's unit value; both are kept as integer numerators keyed by
+    denominator, and each share becomes one ``Fraction`` at the end.
+
+    General-case lists also go through a shape cache that lives for this
+    call. By the symmetry axiom, two antichains that differ by an owner
+    relabelling get the same values, relabelled. So each shape (masks with
+    owners relabelled to their rank in the tuple) is computed once, on the
+    first list that has it; every list of that shape maps the per-rank values
+    back to its owners. A list's case counts are replayed once per tuple, so
+    ``stats`` and the cache's hits and misses are the same as computing tuple
+    by tuple. Routing and both budgets depend only on the shape, and lists
+    are visited in first-seen order, so a double budget failure still raises
+    on the first tuple over both budgets, naming that tuple's owner. With
+    ``per_tuple``, a second pass scales each tuple's unit values by its own
+    utility.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    shares = [Fraction(0)] * d.n_owners
-    breakdown: dict[tuple[int, int], Fraction] | None = {} if per_tuple else None
+    groups: dict[tuple[int, ...], _WitnessGroup] = {}
+    for t in d.tuples:
+        group = groups.get(key := t.syntheses.masks())
+        if group is None:
+            group = groups[key] = _WitnessGroup(t.syntheses)
+        group.count += 1
+        group.utility_sums[t.utility.denominator] += t.utility.numerator
+
     stats = CaseStats()
     # shape -> (values at utility 1 by owner rank, the shape's CaseStats)
     cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], CaseStats]] = {}
     hits = 0
-    for i, t in enumerate(d.tuples):
-        s = t.syntheses
+    # per owner: numerators of its share keyed by denominator
+    parts: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(d.n_owners)]
+    for group in groups.values():
+        s = group.syntheses
         case = classify_tuple(s)
         if isinstance(case, General):
             owners, key = _rank_relabel(s)
@@ -554,27 +595,44 @@ def iusv_all(
                     (owners, key),
                 )
                 entry = cache[key] = (tuple(unit[o] for o in owners), delta)
-            else:
-                hits += 1
+                hits -= 1  # the group's first tuple is the miss
+            hits += group.count
             by_rank, delta = entry
-            stats.merge(delta)
-            values = {o: t.utility * v for o, v in zip(owners, by_rank)}
+            group.unit = dict(zip(owners, by_rank))
         else:
-            values = _tuple_values(
-                s, case, t.utility, gamma, stats, sc_max_terms, sl_max_owners
+            delta = CaseStats()
+            group.unit = _tuple_values(
+                s, case, Fraction(1), gamma, delta, sc_max_terms, sl_max_owners
             )
-        for owner, v in values.items():
-            shares[owner] += v
-            if breakdown is not None:
-                breakdown[(i, owner)] = v
+        stats.merge(delta, group.count)
+        for owner, v in group.unit.items():
+            vn, vd = v.numerator, v.denominator
+            owner_parts = parts[owner]
+            for ud, un in group.utility_sums.items():
+                owner_parts[ud * vd] += un * vn
+    shares = tuple(_sum_parts(p) for p in parts)
+
+    breakdown: dict[tuple[int, int], Fraction] | None = None
+    if per_tuple:
+        breakdown = {}
+        for i, t in enumerate(d.tuples):
+            for owner, v in groups[t.syntheses.masks()].unit.items():
+                breakdown[(i, owner)] = t.utility * v
     logger.debug(
         "iusv_all: %d general tuples, shape cache %d hits, %d misses (one per distinct shape)",
         stats.general, hits, len(cache),
     )
-    allocation = Allocation(shares=tuple(shares), per_tuple=breakdown)
+    allocation = Allocation(shares=shares, per_tuple=breakdown)
     return IusvResult(
         allocation=allocation,
         stats=stats,
         shape_cache_hits=hits,
         shape_cache_misses=len(cache),
     )
+
+
+def _sum_parts(parts: dict[int, int]) -> Fraction:
+    """The exact sum of ``numerator / denominator`` over ``parts``, as one
+    ``Fraction`` over the denominators' least common multiple."""
+    den = lcm(*parts)
+    return Fraction(sum(n * (den // d) for d, n in parts.items()), den)

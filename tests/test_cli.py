@@ -291,6 +291,21 @@ def test_bench_empty_matrix_writes_empty_reports(tmp_path):
     assert json.loads((tmp_path / "bench.json").read_text()) == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{}', '{"cells": ["iusv"]}', '[{"method": "iusv"}]', '{"cells": {"method": "iusv"}}', "{"],
+)
+def test_bench_rejects_a_malformed_matrix(tmp_path, capsys, text):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(text)
+    out = tmp_path / "bench.json"
+    rc = main(["bench", "--matrix", str(matrix), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_shapley_coalition_honours_timeout(tmp_path, monkeypatch):
     plan, tables = example_counter_tables()
     coalition = tmp_path / "coalition.json"

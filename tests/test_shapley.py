@@ -384,6 +384,13 @@ def test_case_stats_merge():
     b = CaseStats(unique_multi=3, sl_calls=1, fallbacks=1)
     a.merge(b)
     assert a.tuples == 4 and a.general_calls == 3 and a.fallbacks == 1
+    # with a multiplicity, as for b's witness list held by 4 tuples
+    a.merge(b, 4)
+    assert a == CaseStats(
+        single_owner_only=1, unique_multi=15, sc_calls=2, sl_calls=5, fallbacks=5
+    )
+    a.merge(CaseStats(general=1, sc_calls=3), 0)
+    assert a.general == 0 and a.sc_calls == 2
 
 
 # --- the shape cache in iusv_all ---------------------------------------------------------
@@ -412,12 +419,14 @@ def uncached(d, gamma=1.0, **caps):
 
 
 @st.composite
-def relabelled_copies(draw):
+def relabelled_copies(draw, repeats=False):
     """A few random antichains, each copied with its owners relabelled.
 
     Half the copies relabel monotonically, which keeps the shape (a cache
     hit); the others permute the owners arbitrarily. Utilities are fractions
-    with denominators from 2 to 7.
+    with denominators from 2 to 7. With ``repeats``, each copy is held by one
+    to three tuples, so witness lists repeat, and utilities are from 0 to 50
+    over denominators from 1 to 7.
     """
     n_owners = draw(st.integers(4, 8))
     tuples = []
@@ -430,8 +439,12 @@ def relabelled_copies(draw):
             targets = draw(st.permutations(range(n_owners)))[:k]
             if draw(st.booleans()):
                 targets = sorted(targets)
-            utility = F(draw(st.integers(1, 50)), draw(st.integers(2, 7)))
-            tuples.append((utility, mk(n_owners, *[[targets[o] for o in g] for g in groups])))
+            s = mk(n_owners, *[[targets[o] for o in g] for g in groups])
+            if not repeats:
+                tuples.append((F(draw(st.integers(1, 50)), draw(st.integers(2, 7))), s))
+                continue
+            for _ in range(draw(st.integers(1, 3))):
+                tuples.append((F(draw(st.integers(0, 50)), draw(st.integers(1, 7))), s))
     return coalition(n_owners, *tuples)
 
 
@@ -452,6 +465,51 @@ def test_iusv_all_shape_cache_equals_per_tuple_iusv(d, gamma, sc_max_terms):
         owners, key = _rank_relabel(t.syntheses)
         # the local masks are a canonical antichain as they stand
         SynthesisSet(tuple(OwnerSet(len(owners), m) for m in key))
+
+
+@settings(max_examples=200)
+@given(
+    d=relabelled_copies(repeats=True),
+    gamma=st.sampled_from([0.5, 1.0, 2.0]),
+    sc_max_terms=st.sampled_from([DEFAULT_SC_MAX_TERMS, 1]),
+)
+def test_iusv_all_groups_repeated_witness_lists(d, gamma, sc_max_terms):
+    shares, breakdown, stats = uncached(d, gamma, sc_max_terms=sc_max_terms)
+    res = iusv_all(d, gamma, per_tuple=True, sc_max_terms=sc_max_terms)
+    assert res.allocation.shares == shares
+    assert res.allocation.per_tuple == breakdown
+    assert res.stats == stats
+    assert res.shape_cache_hits + res.shape_cache_misses == stats.general
+
+
+def test_iusv_all_computes_each_witness_list_once(monkeypatch):
+    general = mk(6, [0, 1], [0, 2])
+    closed = mk(6, [3, 4], [5])
+    d = coalition(
+        6,
+        (F(1), general), (F(2, 3), closed), (F(0), general),
+        (F(5, 7), closed), (F(3), general), (F(1, 2), closed),
+    )
+    calls = {"classify": 0, "relabel": 0}
+    real_classify, real_relabel = shapley_module.classify_tuple, shapley_module._rank_relabel
+
+    def counting(name, real):
+        def wrapper(s):
+            calls[name] += 1
+            return real(s)
+        return wrapper
+
+    monkeypatch.setattr(shapley_module, "classify_tuple", counting("classify", real_classify))
+    monkeypatch.setattr(shapley_module, "_rank_relabel", counting("relabel", real_relabel))
+    res = iusv_all(d, per_tuple=True)
+    assert calls == {"classify": 2, "relabel": 1}
+    monkeypatch.undo()
+    shares, breakdown, stats = uncached(d)
+    assert res.allocation.shares == shares
+    assert res.allocation.per_tuple == breakdown
+    assert res.stats == stats
+    assert (stats.general, stats.unique_multi) == (3, 3)
+    assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 1)
 
 
 def test_shape_cache_hits_on_relabelled_copies(caplog, monkeypatch):
@@ -498,3 +556,28 @@ def test_shape_cache_double_budget_failure_names_global_owner():
         iusv_tuple(d.tuples[0].syntheses, F(1), sc_max_terms=1, sl_max_owners=2)
     assert "owner 4 " in str(got.value)
     assert str(got.value) == str(want.value)
+
+
+def test_double_budget_failure_raises_on_the_first_failing_tuple():
+    # COUNTER's shape falls back to SL (3 owners, cap 3); the singles are a
+    # closed form. Both lists repeat before the first tuple over both budgets.
+    ok_general = mk(8, [0, 1], [0, 2])
+    ok_closed = mk(8, [6], [7])
+    first = mk(8, [3, 4], [3, 5], [6, 7])  # 5 owners; owner 3 needs 3 SC terms
+    later = mk(8, [0, 1], [0, 2], [5, 6])
+    d = coalition(
+        8,
+        (F(1), ok_general), (F(2), ok_closed), (F(1, 3), ok_general), (F(4), ok_closed),
+        (F(1), first), (F(1), ok_general), (F(1), later), (F(1), first),
+    )
+    caps = dict(sc_max_terms=1, sl_max_owners=3)
+    ok = iusv_all(coalition(8, *[(t.utility, t.syntheses) for t in d.tuples[:4]]), **caps)
+    assert ok.stats.fallbacks == 2  # owner 0 of each general tuple
+    with pytest.raises(CostLimitError) as got:
+        iusv_all(d, per_tuple=True, **caps)
+    with pytest.raises(CostLimitError) as want:
+        iusv_tuple(first, F(1), **caps)
+    with pytest.raises(CostLimitError) as other:
+        iusv_tuple(later, F(1), **caps)
+    assert "owner 3 " in str(got.value)
+    assert str(got.value) == str(want.value) != str(other.value)
