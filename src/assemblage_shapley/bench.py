@@ -16,7 +16,6 @@ import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -66,35 +65,53 @@ def ingest_csv(
         path = Path(path)
         name = path.stem
         types = dict(schema_config.get(name, {}).get("types", {}))
-        for attr, kind in types.items():
-            if kind not in CELL_TYPES:
-                raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestError("file is empty (missing header row)", path=str(path)) from None
-            schema = tuple(h.strip() for h in header)
-            kinds = [types.get(a, "string") for a in schema]
-            rows = []
-            for line_no, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                if len(record) != len(schema):
-                    raise IngestError(
-                        f"row has {len(record)} fields, expected {len(schema)}",
-                        path=str(path),
-                        line=line_no,
-                    )
-                rows.append(
-                    tuple(
-                        _convert_cell(raw, kind, str(path), line_no)
-                        for raw, kind in zip(record, kinds)
-                    )
-                )
-        tables.append(SourceTable(name=name, schema=schema, rows=tuple(rows)))
+        schema, rows = _read_csv(path, types, delimiter=delimiter)
+        tables.append(SourceTable(name=name, schema=schema, rows=rows))
     return tables
+
+
+def _read_csv(
+    path: Path,
+    types: Mapping[str, str],
+    *,
+    delimiter: str = ",",
+    schema: tuple[str, ...] | None = None,
+) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    """The header and typed rows of one CSV file; ``types`` maps attributes
+    to cell types. With ``schema``, the header must equal it. An unknown
+    type, a missing header, a row with the wrong number of fields or a bad
+    cell raises :class:`IngestError` naming the file and line."""
+    for attr, kind in types.items():
+        if kind not in CELL_TYPES:
+            raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = tuple(h.strip() for h in next(reader))
+        except StopIteration:
+            raise IngestError(
+                "file is empty (missing header row)", path=str(path), line=1
+            ) from None
+        if schema is not None and header != schema:
+            raise IngestError("owner file header disagrees with manifest", path=str(path), line=1)
+        kinds = [types.get(a, "string") for a in header]
+        rows = []
+        for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise IngestError(
+                    f"row has {len(record)} fields, expected {len(header)}",
+                    path=str(path),
+                    line=line_no,
+                )
+            rows.append(
+                tuple(
+                    _convert_cell(raw, kind, str(path), line_no)
+                    for raw, kind in zip(record, kinds)
+                )
+            )
+    return header, tuple(rows)
 
 
 # --- owner-table manifest (gen output) -----------------------------------------
@@ -148,27 +165,9 @@ def load_assignment(manifest_path: str | Path) -> tuple[list[OwnedTable], int, A
     for name, entry in sorted(manifest["tables"].items()):
         schema = tuple(entry["schema"])
         types = entry.get("types", {})
-        kinds = [types.get(a, "string") for a in schema]
         for owner_str, fname in sorted(entry["owners"].items(), key=lambda kv: int(kv[0])):
-            rows = []
-            path = base / fname
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                if tuple(h.strip() for h in header) != schema:
-                    raise IngestError("owner file header disagrees with manifest", path=str(path))
-                for line_no, record in enumerate(reader, start=2):
-                    if not record:
-                        continue
-                    rows.append(
-                        tuple(
-                            _convert_cell(raw, kind, str(path), line_no)
-                            for raw, kind in zip(record, kinds)
-                        )
-                    )
-            tables.append(
-                OwnedTable(table=name, owner=int(owner_str), schema=schema, rows=tuple(rows))
-            )
+            _, rows = _read_csv(base / fname, types, schema=schema)
+            tables.append(OwnedTable(table=name, owner=int(owner_str), schema=schema, rows=rows))
     scenario = None
     if manifest.get("scenario"):
         scenario = AssignmentScenario.from_dict(manifest["scenario"])
@@ -485,32 +484,18 @@ def run_benchmark(
     n_owners: int | None = None,
     utility_fn=None,
     reference: Allocation | None = None,
-    parallel: bool = False,
 ) -> list[RunReport]:
-    """Run a matrix of configured cells; failures are isolated per cell.
-
-    Cells run sequentially by default so runtime measurements are clean. The
-    parallel mode exists for correctness-only sweeps: cells run in a process
-    pool, runtimes reflect contention, and per-cell timeouts are not enforced
-    (the pool workers cannot fork watchdog children).
-    """
-    run = partial(_run_bench_cell, n_owners, utility_fn, reference)
-    if not parallel:
-        return [run(c) for c in cells]
-    cells = [(replace(config, timeout_s=None), plan, tables) for config, plan, tables in cells]
-    with multiprocessing.get_context("fork").Pool() as pool:
-        return pool.map(run, cells)
-
-
-def _run_bench_cell(n_owners, utility_fn, reference, cell) -> RunReport:
-    """:func:`run_cell` on one ``(config, plan, tables)`` cell of :func:`run_benchmark`."""
-    config, plan, tables = cell
-    return run_cell(
-        asdict(config),
-        lambda: (plan, tables, n_owners),
-        utility_fn=utility_fn,
-        reference=reference,
-    )
+    """Run a matrix of configured cells one after another, so runtime
+    measurements are clean; failures are isolated per cell."""
+    return [
+        run_cell(
+            asdict(config),
+            lambda plan=plan, tables=tables: (plan, tables, n_owners),
+            utility_fn=utility_fn,
+            reference=reference,
+        )
+        for config, plan, tables in cells
+    ]
 
 
 # --- report serialization -----------------------------------------------------------

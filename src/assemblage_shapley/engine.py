@@ -10,7 +10,8 @@ minimalised once, where its witnesses combine. A scan reads owners in
 ascending order, so its distinct singleton witnesses are already canonical; a
 join minimalises each matching pair's unions, and no two pairs give one row;
 a projection or union minimalises only rows that collide. The output rows are
-checked against the cap and wrapped without re-validation.
+checked against the cap, and their masks are wrapped as they stand: a
+``SynthesisSet`` stores int masks, not ``OwnerSet``s.
 """
 
 from __future__ import annotations
@@ -102,50 +103,57 @@ def _synthesis_masks(syntheses: Sequence[OwnerSet]) -> list[int]:
     return [s.bits for s in syntheses]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SynthesisSet:
-    """The minimal syntheses of one coalition tuple: a non-empty antichain."""
+    """The minimal syntheses of one coalition tuple: a non-empty antichain,
+    stored as its owner universe ``width`` and its masks ``bits`` in canonical
+    order. The constructor validates :class:`OwnerSet`s; iterating and
+    ``syntheses`` build them again only when asked."""
 
-    syntheses: tuple[OwnerSet, ...]
+    width: int
+    bits: tuple[int, ...]
 
-    def __post_init__(self):
-        masks = _synthesis_masks(self.syntheses)
+    def __init__(self, syntheses: Sequence[OwnerSet]):
+        masks = _synthesis_masks(syntheses)
         if masks != _minimal_masks(masks):
             raise ValueError(
                 "syntheses must be a deduplicated antichain in canonical order; "
                 "use SynthesisSet.from_sets or minimalize"
             )
+        object.__setattr__(self, "width", syntheses[0].width)
+        object.__setattr__(self, "bits", tuple(masks))
 
     @classmethod
     def from_sets(cls, syntheses: Iterable[OwnerSet]) -> "SynthesisSet":
         return minimalize(syntheses)
 
     @classmethod
-    def _trusted(cls, syntheses: tuple[OwnerSet, ...]) -> "SynthesisSet":
-        """Wrap syntheses known to pass ``__post_init__``, without running it."""
+    def _trusted(cls, width: int, bits: tuple[int, ...]) -> "SynthesisSet":
+        """Wrap masks known to be a canonical antichain, without validating."""
         s = object.__new__(cls)
-        object.__setattr__(s, "syntheses", syntheses)
+        object.__setattr__(s, "width", width)
+        object.__setattr__(s, "bits", bits)
         return s
 
     @property
-    def width(self) -> int:
-        return self.syntheses[0].width
+    def syntheses(self) -> tuple[OwnerSet, ...]:
+        return tuple(self)
 
     def owners(self) -> OwnerSet:
         """Union of all minimal syntheses: the only owners with nonzero value."""
         bits = 0
-        for s in self.syntheses:
-            bits |= s.bits
+        for m in self.bits:
+            bits |= m
         return OwnerSet(self.width, bits)
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(s.bits for s in self.syntheses)
+        return self.bits
 
     def __iter__(self) -> Iterator[OwnerSet]:
-        return iter(self.syntheses)
+        return (OwnerSet(self.width, m) for m in self.bits)
 
     def __len__(self) -> int:
-        return len(self.syntheses)
+        return len(self.bits)
 
 
 def minimalize(syntheses: Iterable[OwnerSet]) -> SynthesisSet:
@@ -155,7 +163,7 @@ def minimalize(syntheses: Iterable[OwnerSet]) -> SynthesisSet:
     """
     syntheses = list(syntheses)
     kept = _minimal_masks(_synthesis_masks(syntheses))
-    return SynthesisSet._trusted(tuple(OwnerSet(syntheses[0].width, m) for m in kept))
+    return SynthesisSet._trusted(syntheses[0].width, tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -335,14 +343,15 @@ def evaluate_plan(
     schema, rel = eval_node(plan)
 
     tuples = []
+    one = Fraction(1)  # the default utility, shared by every row
     for row, masks in rel.items():
         # the only cap check for scan rows and rows no projection merged
         if len(masks) > max_syntheses:
             raise SynthesisLimitError(
                 f"tuple {row!r} has {len(masks)} minimal syntheses (cap {max_syntheses})"
             )
-        syntheses = SynthesisSet._trusted(tuple(OwnerSet(n_owners, m) for m in masks))
-        utility = as_utility(utility_fn(row)) if utility_fn is not None else Fraction(1)
+        syntheses = SynthesisSet._trusted(n_owners, tuple(masks))
+        utility = as_utility(utility_fn(row)) if utility_fn is not None else one
         tuples.append(CoalitionTuple(values=row, utility=utility, syntheses=syntheses))
     return CoalitionSet(schema=schema, tuples=tuple(tuples), n_owners=n_owners)
 

@@ -77,11 +77,11 @@ TupleCase = SingleOwnerOnly | UniqueMultiOwner | General
 
 
 def classify_tuple(s: SynthesisSet) -> TupleCase:
-    multi = [syn for syn in s if len(syn) >= 2]
+    multi = [m for m in s.masks() if m & (m - 1)]
     if not multi:
         return SingleOwnerOnly(m=len(s))
     if len(multi) == 1:
-        return UniqueMultiOwner(m=len(multi[0]), k=len(s) - 1)
+        return UniqueMultiOwner(m=multi[0].bit_count(), k=len(s) - 1)
     return General()
 
 
@@ -103,7 +103,7 @@ def _single_owner_only(
     s: SynthesisSet, case: SingleOwnerOnly, utility: Fraction
 ) -> dict[int, Fraction]:
     share = utility / case.m
-    return {next(iter(syn)): share for syn in s}
+    return {m.bit_length() - 1: share for m in s.masks()}
 
 
 def shapley_unique_multi(s: SynthesisSet, utility: Fraction) -> dict[int, Fraction]:
@@ -127,12 +127,12 @@ def _unique_multi(
     multi_share = utility / ((m + k) * comb(m + k - 1, m - 1))
     out: dict[int, Fraction] = {}
     single_share = (utility - m * multi_share) / k if k else None
-    for syn in s:
-        if len(syn) >= 2:
-            for owner in syn:
+    for mask in s.masks():
+        if mask & (mask - 1):
+            for owner in _bit_indices(mask):
                 out[owner] = multi_share
         else:
-            out[next(iter(syn))] = single_share
+            out[mask.bit_length() - 1] = single_share
     return out
 
 
@@ -444,12 +444,15 @@ def _tuple_values(
         stats.general += 1
     owners, local = relabelled if relabelled is not None else _rank_relabel(s)
     n_t = len(owners)
+    m_us = [0] * n_t  # by rank: how many syntheses hold the owner
+    for m in local:
+        for rank in _bit_indices(m):
+            m_us[rank] += 1
     sl_table = None  # built on the first SL-routed owner, then shared
     out: dict[int, Fraction] = {}
-    for rank, owner in enumerate(owners):
-        split = SynthesisSplit.for_owner(s, owner)
-        prefer_sc = n_t > gamma * max(split.m_u, split.m_u * split.m_not_u)
-        if prefer_sc:
+    for rank, (owner, m_u) in enumerate(zip(owners, m_us)):
+        m_not_u = len(local) - m_u
+        if n_t > gamma * max(m_u, m_u * m_not_u):
             routes = ("sc", "sl")
         else:
             routes = ("sl", "sc")
@@ -457,6 +460,7 @@ def _tuple_values(
         for i, route in enumerate(routes):
             try:
                 if route == "sc":
+                    split = SynthesisSplit.for_owner(s, owner)
                     value = shapley_sc(owner, split, utility, max_terms=sc_max_terms)
                 else:
                     if sl_table is None:
@@ -466,7 +470,7 @@ def _tuple_values(
                 if i == 1:
                     raise CostLimitError(
                         f"both SC and SL exceed their budgets for owner {owner} "
-                        f"(m_u={split.m_u}, m_not_u={split.m_not_u}, owners={n_t})"
+                        f"(m_u={m_u}, m_not_u={m_not_u}, owners={n_t})"
                     ) from None
                 continue
             if stats is not None:
@@ -489,22 +493,17 @@ def _rank_relabel(s: SynthesisSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     bit order of the masks: the local masks are already in the engine's
     canonical (cardinality, bits) order and need no sort.
     """
-    masks = s.masks()
-    union = 0
-    for m in masks:
-        union |= m
-    owners = []
-    local = [0] * len(masks)
-    rank_bit = 1
-    while union:
-        low = union & -union
-        for j, m in enumerate(masks):
-            if m & low:
-                local[j] |= rank_bit
-        owners.append(low.bit_length() - 1)
-        union ^= low
-        rank_bit <<= 1
-    return tuple(owners), tuple(local)
+    owners = tuple(s.owners())
+    rank_bit = {1 << owner: 1 << r for r, owner in enumerate(owners)}
+    local = []
+    for m in s.masks():  # one pass per mask, one step per member
+        x = 0
+        while m:
+            low = m & -m
+            x |= rank_bit[low]
+            m ^= low
+        local.append(x)
+    return owners, tuple(local)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import time
@@ -20,12 +21,14 @@ from assemblage_shapley import (
     ingest_csv,
     load_assignment,
     minimalize,
+    plan_to_json,
     run_benchmark,
     run_coalition,
     run_method,
     run_with_timeout,
     write_assignment,
 )
+from assemblage_shapley.cli import main
 from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
 from assemblage_shapley.bench import reports_from_csv, reports_from_json, reports_to_csv, reports_to_json
 
@@ -58,12 +61,28 @@ def test_ingest_missing_header_is_an_error(tmp_path):
         ingest_csv([p])
 
 
-def test_ingest_malformed_row_names_line(tmp_path):
+def test_ingest_malformed_row_names_line(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n3\n")
     with pytest.raises(IngestError, match="bad.csv:3") as exc_info:
         ingest_csv([p])
     assert exc_info.value.line == 3
+    # owner files go through the same reader: an extra field, a short row and
+    # an empty file each name the file and line, and CLI shapley exits 2
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"n_owners": 1, "tables": {"t": {"schema": ["a", "b"], "owners": {"0": "t0.csv"}}}}
+    ))
+    plan = tmp_path / "plan.json"
+    plan.write_text(plan_to_json(Scan("t")))
+    argv = ["shapley", "--method", "iusv", "--manifest", str(manifest), "--plan", str(plan)]
+    for text, line in [("a,b\n1,2,3\n", 2), ("a,b\n1,2\n3\n", 3), ("", 1)]:
+        (tmp_path / "t0.csv").write_text(text)
+        with pytest.raises(IngestError, match=f"t0.csv:{line}]") as exc_info:
+            load_assignment(manifest)
+        assert exc_info.value.line == line
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {exc_info.value}")
 
 
 def test_ingest_bad_integer_names_line(tmp_path):
@@ -88,6 +107,13 @@ def test_ingest_rejects_unknown_type(tmp_path):
     p.write_text("a\n1\n")
     with pytest.raises(IngestError):
         ingest_csv([p], {"x": {"types": {"a": "floaty"}}})
+    # a manifest's types are checked too, not read as strings
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"n_owners": 1, "tables": {"x": {
+        "schema": ["a"], "types": {"a": "floaty"}, "owners": {"0": "x.csv"}
+    }}}))
+    with pytest.raises(IngestError, match="unknown type 'floaty'"):
+        load_assignment(manifest)
 
 
 # --- assignment manifest round trip -------------------------------------------------
@@ -272,17 +298,6 @@ def test_run_benchmark_isolates_failing_cells():
     reports = run_benchmark(cells)
     assert [r.status for r in reports] == ["ok", "error", "ok"]
     assert [r.label for r in reports] == ["good", "bad", "also-good"]
-
-
-def test_run_benchmark_parallel_mode():
-    plan, tables = example_counter_tables()
-    cells = [
-        (RunConfig(method="iusv", label="a"), plan, tables),
-        (RunConfig(method="iusv", label="b", gamma=2.0), plan, tables),
-    ]
-    reports = run_benchmark(cells, parallel=True)
-    assert [r.status for r in reports] == ["ok", "ok"]
-    assert reports[0].allocation_exact == reports[1].allocation_exact
 
 
 # --- report serialization -------------------------------------------------------------------

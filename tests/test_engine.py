@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -181,6 +182,23 @@ def test_each_output_row_is_minimalised_once(monkeypatch):
     assert len(d) == 2 and len(calls) == 2  # one per join output row
 
 
+def test_output_witnesses_stay_masks(monkeypatch):
+    built = []
+    real_init = OwnerSet.__init__
+    monkeypatch.setattr(
+        OwnerSet,
+        "__init__",
+        lambda s, width, bits=0: built.append(bits) or real_init(s, width, bits),
+    )
+    lefts = [OwnedTable("l", o, ("k", "a"), ((1, "x"), (2, "x"))) for o in range(3)]
+    rights = [OwnedTable("r", o + 3, ("k", "b"), ((1, "y"), (2, "y"))) for o in range(3)]
+    d = evaluate_plan(NaturalJoin(Scan("l"), Scan("r")), lefts + rights)
+    assert built == []  # 2 rows of 9 witnesses each, none an OwnerSet
+    # iterating builds them, from the stored masks
+    assert [s.bits for s in d.tuples[0].syntheses] == list(d.tuples[0].syntheses.masks())
+    assert len(built) == 9
+
+
 def test_utility_fn_applied_and_validated():
     t = OwnedTable("t", 0, ("x",), ((1,), (2,)))
     d = evaluate_plan(Scan("t"), [t], utility_fn=lambda row: Fraction(row[0], 2))
@@ -299,9 +317,12 @@ def test_witness_soundness_and_minimality_on_random_instances():
         # the input order of the tables changes nothing, not even tuple order
         for order in (tables[::-1], order_rng.sample(tables, len(tables))):
             assert evaluate_plan(plan, order, n_owners=n_owners) == d
+        assert pickle.loads(pickle.dumps(d)) == d
         for t in d:
             # the unvalidated output passes the public validating constructor
             assert SynthesisSet(t.syntheses.syntheses) == t.syntheses
+            assert hash(SynthesisSet(t.syntheses.syntheses)) == hash(t.syntheses)
+            assert {(type(syn), syn.width) for syn in t.syntheses} == {(OwnerSet, n_owners)}
             for syn in t.syntheses:
                 sub = evaluate_plan(
                     plan, restrict_tables(tables, syn), n_owners=n_owners

@@ -512,6 +512,28 @@ def test_iusv_all_computes_each_witness_list_once(monkeypatch):
     assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 1)
 
 
+def test_split_is_built_only_for_sc_routed_owners(monkeypatch):
+    # COUNTER's shape on {0,1,2} and {3,5,6}; a path over {7,...,10}, twice
+    path = mk(11, [7, 8], [8, 9], [9, 10])
+    d = coalition(
+        11,
+        (F(1), mk(11, [0, 1], [0, 2])), (F(2), mk(11, [3, 5], [3, 6])),
+        (F(1), path), (F(3), path),
+    )
+    shares = uncached(d)[0]
+    splits = []
+    real = SynthesisSplit.for_owner
+    monkeypatch.setattr(
+        SynthesisSplit, "for_owner", classmethod(lambda cls, s, o: splits.append(o) or real(s, o))
+    )
+    res = iusv_all(d, gamma=1e9)  # every owner to SL
+    assert splits == [] and res.stats.sl_calls == 14
+    res = iusv_all(d, gamma=1e-9)  # every owner to SC: one split per owner of a shape miss
+    assert splits == [0, 1, 2, 7, 8, 9, 10] and res.stats.sc_calls == 14
+    assert res.allocation.shares == shares
+    assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 2)
+
+
 def test_shape_cache_hits_on_relabelled_copies(caplog, monkeypatch):
     # COUNTER's shape on owners {0,1,2}, {3,5,6} and {2,4,6}: one miss, two hits
     d = coalition(
