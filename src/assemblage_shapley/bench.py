@@ -6,6 +6,11 @@ JSON (canonical) and CSV (tabular). Assembling the coalition set is timed
 separately from the Shapley computation itself; the exact-baseline and
 sampling methods pay for their plan re-executions inside the timed section,
 which is what makes them slow.
+
+Each decision is stated once: ``CELL_PARSERS`` says how a CSV cell of each
+manifest type parses, ``_run`` runs every method in the fork child and fills
+its report in, and the report CSV's columns and cell parsers come from
+:class:`RunReport`'s fields.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, get_args, get_type_hints
 
 from .baselines import PRNG_NAME, UtilityEvaluator, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
@@ -25,32 +30,21 @@ from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
 from .errors import IngestError, UndefinedMetricError
 from .model import Allocation
 from .plans import PlanNode
-from .shapley import CaseStats, iusv_all
+from .shapley import DEFAULT_GAMMA, CaseStats, iusv_all
 
-CELL_TYPES = ("string", "integer", "decimal")
+#: How a CSV cell of each type parses. Each ignores surrounding whitespace.
+CELL_PARSERS: dict[str, Callable[[str], Any]] = {
+    "string": str.strip,
+    "integer": int,
+    "decimal": Fraction,
+}
 
 
 # --- ingestion ----------------------------------------------------------------
 
-def _convert_cell(raw: str, kind: str, path: str, line: int):
-    raw = raw.strip()
-    try:
-        if kind == "integer":
-            return int(raw)
-        if kind == "decimal":
-            return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise IngestError(
-            f"cannot parse {raw!r} as {kind}", path=path, line=line
-        ) from None
-    return raw
-
-
 def ingest_csv(
     paths: Sequence[str | Path],
     schema_config: Mapping[str, Mapping] | None = None,
-    *,
-    delimiter: str = ",",
 ) -> list[SourceTable]:
     """Read CSV files into typed, deduplicated tables.
 
@@ -65,7 +59,7 @@ def ingest_csv(
         path = Path(path)
         name = path.stem
         types = dict(schema_config.get(name, {}).get("types", {}))
-        schema, rows = _read_csv(path, types, delimiter=delimiter)
+        schema, rows = _read_csv(path, types)
         tables.append(SourceTable(name=name, schema=schema, rows=rows))
     return tables
 
@@ -74,7 +68,6 @@ def _read_csv(
     path: Path,
     types: Mapping[str, str],
     *,
-    delimiter: str = ",",
     schema: tuple[str, ...] | None = None,
 ) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     """The header and typed rows of one CSV file; ``types`` maps attributes
@@ -82,10 +75,10 @@ def _read_csv(
     type, a missing header, a row with the wrong number of fields or a bad
     cell raises :class:`IngestError` naming the file and line."""
     for attr, kind in types.items():
-        if kind not in CELL_TYPES:
+        if kind not in CELL_PARSERS:
             raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = tuple(h.strip() for h in next(reader))
         except StopIteration:
@@ -95,6 +88,7 @@ def _read_csv(
         if schema is not None and header != schema:
             raise IngestError("owner file header disagrees with manifest", path=str(path), line=1)
         kinds = [types.get(a, "string") for a in header]
+        parsers = [CELL_PARSERS[kind] for kind in kinds]
         rows = []
         for line_no, record in enumerate(reader, start=2):
             if not record:
@@ -105,12 +99,17 @@ def _read_csv(
                     path=str(path),
                     line=line_no,
                 )
-            rows.append(
-                tuple(
-                    _convert_cell(raw, kind, str(path), line_no)
-                    for raw, kind in zip(record, kinds)
-                )
-            )
+            try:
+                rows.append(tuple([parse(raw) for parse, raw in zip(parsers, record)]))
+            except (ValueError, ZeroDivisionError):
+                for raw, kind in zip(record, kinds):
+                    try:
+                        CELL_PARSERS[kind](raw)
+                    except (ValueError, ZeroDivisionError):
+                        raise IngestError(
+                            f"cannot parse {raw.strip()!r} as {kind}", path=str(path), line=line_no
+                        ) from None
+                raise
     return header, tuple(rows)
 
 
@@ -156,10 +155,19 @@ def _cell_to_text(v) -> str:
 
 
 def load_assignment(manifest_path: str | Path) -> tuple[list[OwnedTable], int, AssignmentScenario | None]:
-    """Load the owner tables written by :func:`write_assignment`."""
+    """Load the owner tables written by :func:`write_assignment`.
+
+    A manifest that is not JSON, or lacks an integer ``n_owners`` or a
+    ``tables`` object whose entries each hold a ``schema`` list and an
+    ``owners`` object, raises :class:`IngestError` naming the manifest.
+    """
     manifest_path = Path(manifest_path)
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"manifest is not JSON: {exc}", path=str(manifest_path)) from None
+    _check_manifest(manifest, manifest_path)
     base = manifest_path.parent
     tables: list[OwnedTable] = []
     for name, entry in sorted(manifest["tables"].items()):
@@ -172,6 +180,21 @@ def load_assignment(manifest_path: str | Path) -> tuple[list[OwnedTable], int, A
     if manifest.get("scenario"):
         scenario = AssignmentScenario.from_dict(manifest["scenario"])
     return tables, manifest["n_owners"], scenario
+
+
+def _check_manifest(manifest: Any, path: Path) -> None:
+    tables = manifest.get("tables") if isinstance(manifest, dict) else None
+    if not (isinstance(tables, dict) and isinstance(manifest.get("n_owners"), int)):
+        raise IngestError(
+            'manifest needs an integer "n_owners" and a "tables" object', path=str(path)
+        )
+    for name, entry in tables.items():
+        entry = entry if isinstance(entry, dict) else {}
+        if not (isinstance(entry.get("schema"), list) and isinstance(entry.get("owners"), dict)):
+            raise IngestError(
+                f'manifest table {name!r} needs a "schema" list and an "owners" object',
+                path=str(path),
+            )
 
 
 # --- metrics --------------------------------------------------------------------
@@ -275,10 +298,12 @@ METHODS = ("trad", "perm", "iusv")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One method execution: which algorithm, its knobs, and its timeout."""
+    """One method execution: which algorithm, its knobs, and its timeout.
+
+    The class attributes hold the defaults, which the CLI flags share."""
 
     method: str
-    gamma: float = 1.0
+    gamma: float = DEFAULT_GAMMA
     samples: int = 16
     seed: int = 0
     timeout_s: float | None = 7200.0
@@ -335,50 +360,32 @@ class RunReport:
         return replace(self, runtime_seconds=None, assemble_seconds=None)
 
 
-def _run_iusv(d: CoalitionSet, gamma: float):
-    return iusv_all(d, gamma)
+def _run(
+    config: RunConfig, d: CoalitionSet, reference: Allocation | None, fn: Callable, *args, **kwargs
+) -> RunReport:
+    """Run ``fn(*args, **kwargs)`` under ``config``'s timeout and report on it.
 
-
-def _run_trad(plan, tables, n_owners, utility_fn):
-    ev = UtilityEvaluator(plan, tables, utility_fn=utility_fn, n_owners=n_owners)
-    return trad_shapley(ev)
-
-
-def _run_perm(plan, tables, n_owners, utility_fn, samples, seed):
-    ev = UtilityEvaluator(plan, tables, utility_fn=utility_fn, n_owners=n_owners)
-    return perm_shapley(ev, samples=samples, seed=seed)
-
-
-def _coalition_report(config: RunConfig, d: CoalitionSet) -> RunReport:
-    return RunReport.for_config(
+    ``fn`` returns an :class:`Allocation`, or for iusv an ``IusvResult``, whose
+    case rates, shape cache hit rate over general-case tuples and
+    ``CaseStats`` (as the histogram) are reported too. With ``reference`` an
+    ok run also reports its error rate.
+    """
+    report = RunReport.for_config(
         config,
         n_owners=d.n_owners,
         n_tuples=len(d),
         total_utility=float(d.total_utility()),
+        rng=PRNG_NAME if config.method == "perm" else None,
     )
-
-
-def _record_outcome(
-    report: RunReport,
-    status: str,
-    payload: Any,
-    elapsed: float | None,
-    reference: Allocation | None,
-) -> RunReport:
-    """Fill ``report`` in from what :func:`run_with_timeout` returned.
-
-    An iusv run also reports its case rates, the shape cache's hit rate over
-    general-case tuples, and its ``CaseStats`` as the histogram.
-    """
-    report.status = status
-    report.runtime_seconds = elapsed
-    if status == "error":
+    report.status, payload, report.runtime_seconds = run_with_timeout(
+        fn, config.timeout_s, *args, **kwargs
+    )
+    if report.status == "error":
         report.error = payload
-        return report
-    if status == "timeout":
+    if report.status != "ok":
         return report
 
-    if report.method == "iusv":
+    if config.method == "iusv":
         allocation = payload.allocation
         stats: CaseStats = payload.stats
         rates = compute_case_rates(stats)
@@ -413,30 +420,18 @@ def run_method(
     assemble_start = time.perf_counter()
     d = evaluate_plan(plan, tables, utility_fn=utility_fn, n_owners=n_owners)
     assemble_seconds = time.perf_counter() - assemble_start
-    report = _coalition_report(config, d)
-    report.assemble_seconds = assemble_seconds
-
     if config.method == "iusv":
-        status, payload, elapsed = run_with_timeout(
-            _run_iusv, config.timeout_s, d, config.gamma
-        )
-    elif config.method == "trad":
-        status, payload, elapsed = run_with_timeout(
-            _run_trad, config.timeout_s, plan, list(tables), d.n_owners, utility_fn
-        )
+        report = _run(config, d, reference, iusv_all, d, config.gamma)
     else:
-        report.rng = PRNG_NAME
-        status, payload, elapsed = run_with_timeout(
-            _run_perm,
-            config.timeout_s,
-            plan,
-            list(tables),
-            d.n_owners,
-            utility_fn,
-            config.samples,
-            config.seed,
-        )
-    return _record_outcome(report, status, payload, elapsed, reference)
+        ev = UtilityEvaluator(plan, tables, utility_fn=utility_fn, n_owners=d.n_owners)
+        if config.method == "trad":
+            report = _run(config, d, reference, trad_shapley, ev)
+        else:
+            report = _run(
+                config, d, reference, perm_shapley, ev, samples=config.samples, seed=config.seed
+            )
+    report.assemble_seconds = assemble_seconds
+    return report
 
 
 def run_coalition(
@@ -449,9 +444,7 @@ def run_coalition(
     """
     if config.method != "iusv":
         raise ValueError(f"a coalition set can only be run with iusv, not {config.method!r}")
-    report = _coalition_report(config, d)
-    status, payload, elapsed = run_with_timeout(_run_iusv, config.timeout_s, d, config.gamma)
-    return _record_outcome(report, status, payload, elapsed, reference)
+    return _run(config, d, reference, iusv_all, d, config.gamma)
 
 
 def run_cell(
@@ -500,15 +493,17 @@ def run_benchmark(
 
 # --- report serialization -----------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "label", "method", "status", "gamma", "samples", "seed", "timeout_s",
-    "n_owners", "n_tuples", "total_utility", "runtime_seconds",
-    "assemble_seconds", "allocation", "allocation_exact", "metrics",
-    "histogram", "rng", "error",
-]
-_JSON_CELLS = {"allocation", "allocation_exact", "metrics", "histogram"}
-_FLOAT_CELLS = {"gamma", "timeout_s", "total_utility", "runtime_seconds", "assemble_seconds"}
-_INT_CELLS = {"samples", "seed", "n_owners", "n_tuples"}
+def _cell_parser(hint) -> Callable[[str], Any]:
+    for scalar in (str, int, float):
+        if hint is scalar or scalar in get_args(hint):
+            return scalar
+    return json.loads
+
+
+#: The report CSV's columns, :class:`RunReport`'s fields in order, each with
+#: how its cell parses: a ``str``, ``int`` or ``float`` field (or ``None``) as
+#: such, and every other field as JSON.
+_CSV_PARSERS = {name: _cell_parser(hint) for name, hint in get_type_hints(RunReport).items()}
 
 
 def reports_to_json(reports: Sequence[RunReport], path: str | Path) -> None:
@@ -522,42 +517,29 @@ def reports_from_json(path: str | Path) -> list[RunReport]:
 
 
 def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
+    """Write ``reports`` as CSV: JSON cells for the JSON fields, an empty cell
+    for any other field that is ``None``, and the value as text otherwise."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(_CSV_PARSERS))
         writer.writeheader()
         for r in reports:
-            d = r.to_dict()
             row = {}
-            for col in _CSV_COLUMNS:
-                v = d[col]
-                if col in _JSON_CELLS:
-                    row[col] = json.dumps(v)
-                elif v is None:
-                    row[col] = ""
-                else:
-                    row[col] = v
+            for col, parse in _CSV_PARSERS.items():
+                v = getattr(r, col)
+                row[col] = json.dumps(v) if parse is json.loads else "" if v is None else v
             writer.writerow(row)
 
 
 def reports_from_csv(path: str | Path) -> list[RunReport]:
+    """Read the reports :func:`reports_to_csv` wrote; an empty cell is ``None``."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
-            kwargs: dict[str, Any] = {}
-            for col, raw in row.items():
-                if col in _JSON_CELLS:
-                    kwargs[col] = json.loads(raw)
-                elif raw == "":
-                    kwargs[col] = None
-                elif col in _FLOAT_CELLS:
-                    kwargs[col] = float(raw)
-                elif col in _INT_CELLS:
-                    kwargs[col] = int(raw)
-                else:
-                    kwargs[col] = raw
-            if kwargs.get("metrics") is None:
-                kwargs["metrics"] = {}
-            if kwargs.get("histogram") is None:
-                kwargs["histogram"] = {}
+            kwargs = {
+                col: None if raw == "" else _CSV_PARSERS.get(col, str)(raw)
+                for col, raw in row.items()
+            }
+            kwargs["metrics"] = kwargs.get("metrics") or {}
+            kwargs["histogram"] = kwargs.get("histogram") or {}
             out.append(RunReport(**kwargs))
     return out

@@ -154,9 +154,9 @@ def _cmd_bench(args) -> int:
     for cell in cells:
         knobs = dict(
             method=cell.get("method"),
-            gamma=cell.get("gamma", 1.0),
-            samples=cell.get("samples", 16),
-            seed=cell.get("seed", 0),
+            gamma=cell.get("gamma", RunConfig.gamma),
+            samples=cell.get("samples", RunConfig.samples),
+            seed=cell.get("seed", RunConfig.seed),
             timeout_s=cell.get("timeout", args.timeout),
             label=cell.get("label", cell.get("method")),
         )
@@ -199,10 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="manifest.json from gen")
     p.add_argument("--plan", help="coalition plan JSON")
     p.add_argument("--coalition", help="pre-assembled coalition set JSON (iusv only)")
-    p.add_argument("--gamma", type=float, default=1.0, help="SC/SL routing knob")
-    p.add_argument("--samples", type=int, default=16, help="permutation samples (perm)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=7200.0, help="seconds before the run is killed")
+    p.add_argument("--gamma", type=float, default=RunConfig.gamma, help="SC/SL routing knob")
+    p.add_argument(
+        "--samples", type=int, default=RunConfig.samples, help="permutation samples (perm)"
+    )
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument(
+        "--timeout",
+        type=float,
+        default=RunConfig.timeout_s,
+        help="seconds before the run is killed",
+    )
     p.add_argument("--reference", help="report JSON with the exact allocation, for error rate")
     p.add_argument("--label", default="")
     p.add_argument("--out", required=True, help="report JSON output")
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help='JSON: {"cells": [{method, gamma, ...}]}')
     p.add_argument("--manifest", help="default manifest for cells that do not name one")
     p.add_argument("--plan", help="default plan for cells that do not name one")
-    p.add_argument("--timeout", type=float, default=7200.0)
+    p.add_argument("--timeout", type=float, default=RunConfig.timeout_s)
     p.add_argument("--out", required=True, help="report table JSON output")
     p.add_argument("--csv-out", help="also write the report table as CSV")
     p.set_defaults(fn=_cmd_bench)

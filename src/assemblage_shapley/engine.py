@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import PlanError, SynthesisLimitError
-from .model import DEFAULT_MAX_OWNERS, OwnerSet, as_utility
+from .model import DEFAULT_MAX_OWNERS, OwnerSet, as_utility, bit_indices
 from .plans import EquiJoin, NaturalJoin, PlanNode, Project, Scan, Union, output_schema
 
 Row = tuple
@@ -400,7 +400,7 @@ def coalition_to_dict(d: CoalitionSet) -> dict:
             {
                 "values": [_cell_to_json(v) for v in t.values],
                 "utility": f"{t.utility.numerator}/{t.utility.denominator}",
-                "syntheses": [sorted(s) for s in t.syntheses],
+                "syntheses": [list(bit_indices(m)) for m in t.syntheses.masks()],
             }
             for t in d.tuples
         ],

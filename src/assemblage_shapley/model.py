@@ -21,6 +21,14 @@ DEFAULT_MAX_OWNERS = 4096
 Utility = Fraction
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def as_utility(value: int | str | Fraction | float) -> Fraction:
     """Coerce ``value`` to an exact non-negative ``Fraction``.
 
@@ -121,11 +129,7 @@ class OwnerSet:
         return 0 <= owner < self.width and bool(self.bits >> owner & 1)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return bit_indices(self.bits)
 
     def indices(self) -> tuple[int, ...]:
         return tuple(self)

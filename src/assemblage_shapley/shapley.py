@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .engine import CoalitionSet, SynthesisSet, _minimal_masks
 from .errors import CostLimitError
-from .model import Allocation, OwnerSet
+from .model import Allocation, OwnerSet, bit_indices
 
 logger = logging.getLogger(__name__)
 
@@ -129,7 +129,7 @@ def _unique_multi(
     single_share = (utility - m * multi_share) / k if k else None
     for mask in s.masks():
         if mask & (mask - 1):
-            for owner in _bit_indices(mask):
+            for owner in bit_indices(mask):
                 out[owner] = multi_share
         else:
             out[mask.bit_length() - 1] = single_share
@@ -185,8 +185,8 @@ def _union_probability(masks: Sequence[int], max_terms: int) -> Fraction:
     universe = 0
     for m in items:
         universe |= m
-    owner_pos = {o: i for i, o in enumerate(_bit_indices(universe))}
-    item_bits = [tuple(owner_pos[o] for o in _bit_indices(m)) for m in items]
+    owner_pos = {o: i for i, o in enumerate(bit_indices(universe))}
+    item_bits = [tuple(owner_pos[o] for o in bit_indices(m)) for m in items]
 
     counts = [0] * len(owner_pos)
     # coeff[c] = signed number of subsets whose union has cardinality c
@@ -212,13 +212,6 @@ def _union_probability(masks: Sequence[int], max_terms: int) -> Fraction:
                     card -= 1
         coeff[card] += 1 if size & 1 else -1
     return sum((Fraction(c, n) for n, c in enumerate(coeff) if c and n), Fraction(0))
-
-
-def _bit_indices(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def shapley_sc(
@@ -315,7 +308,7 @@ def _sl_table(local: Sequence[int], max_owners: int) -> tuple[Fraction, ...]:
             continue
         for b in range(low_n):
             win |= (win & without[b]) << (1 << b)
-        high_ranks = [low_n + r for r in _bit_indices(high)]
+        high_ranks = [low_n + r for r in bit_indices(high)]
         for k, layer in enumerate(layers, start=high.bit_count()):
             x = win & layer
             if not x:
@@ -446,7 +439,7 @@ def _tuple_values(
     n_t = len(owners)
     m_us = [0] * n_t  # by rank: how many syntheses hold the owner
     for m in local:
-        for rank in _bit_indices(m):
+        for rank in bit_indices(m):
             m_us[rank] += 1
     sl_table = None  # built on the first SL-routed owner, then shared
     out: dict[int, Fraction] = {}

@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -91,6 +92,12 @@ def test_ingest_bad_integer_names_line(tmp_path):
     with pytest.raises(IngestError) as exc_info:
         ingest_csv([p], {"nums": {"types": {"a": "integer"}}})
     assert exc_info.value.line == 3
+    # a decimal that is not a number or divides by zero fails at its line too
+    for bad in ["x", "1/0"]:
+        p.write_text(f"a,b\n1/2,s\n2,s\n {bad} ,s\n")
+        message = rf"cannot parse '{bad}' as decimal \[.*nums.csv:4\]$"
+        with pytest.raises(IngestError, match=message):
+            ingest_csv([p], {"nums": {"types": {"a": "decimal"}}})
 
 
 def test_ingest_normalizes_decimals_and_strings(tmp_path):
@@ -326,6 +333,57 @@ def test_reports_csv_roundtrip_lossless_modulo_runtimes(tmp_path):
     reports_to_csv(reports, path)
     loaded = reports_from_csv(path)
     assert [r.without_runtimes() for r in loaded] == [r.without_runtimes() for r in reports]
+
+
+_JOINT_SHARES = (
+    '"[0.6666666666666666, 0.16666666666666666, 0.16666666666666666]",'
+    '"[""2/3"", ""1/6"", ""1/6""]",'
+)
+_PRNG = '"random.Random (Mersenne Twister, sha512 string seeding)",'
+
+#: ``_golden_reports()`` as CSV, generated before the report columns were
+#: taken from ``RunReport``'s fields: JSON cells, ``null`` for a missing
+#: allocation, ``nan``/``inf`` for a non-finite gamma, empty for ``None``.
+_GOLDEN_CSV = "\r\n".join([
+    "label,method,status,gamma,samples,seed,timeout_s,n_owners,n_tuples,total_utility,"
+    "runtime_seconds,assemble_seconds,allocation,allocation_exact,metrics,histogram,rng,error",
+    "t,trad,ok,1.0,16,0,7200.0,3,1,1.0,,0.125," + _JOINT_SHARES + "{},{},,",
+    'p,perm,ok,1.0,4,1,7200.0,3,1,1.0,,0.125,"[1.0, 0.0, 0.0]","[""1"", ""0"", ""0""]",'
+    '"{""error_rate"": 0.6666666666666666}",{},' + _PRNG,
+    "to,perm,timeout,1.0,50000000,0,0.2,3,1,1.0,,0.125,null,null,{},{}," + _PRNG,
+    "i,iusv,ok,1.0,16,0,7200.0,3,1,1.0,,0.125," + _JOINT_SHARES
+    + '"{""umos_rate"": 0.0, ""sc_rate"": 1.0, ""sl_rate"": 0.0, ""shape_cache_hit_rate"": 0.0}",'
+    '"{""single_owner_only"": 0, ""unique_multi"": 0, ""general"": 1, ""sc_calls"": 3, '
+    '""sl_calls"": 0, ""fallbacks"": 0}",,',
+    "inf,iusv,ok,inf,16,0,7200.0,3,1,1.0,,0.125," + _JOINT_SHARES
+    + '"{""umos_rate"": 0.0, ""sc_rate"": 0.0, ""sl_rate"": 1.0, ""shape_cache_hit_rate"": 0.0}",'
+    '"{""single_owner_only"": 0, ""unique_multi"": 0, ""general"": 1, ""sc_calls"": 0, '
+    '""sl_calls"": 3, ""fallbacks"": 0}",,',
+    "nan,iusv,error,nan,16,0,7200.0,3,1,1.0,,0.125,null,null,{},{},,"
+    '"ValueError: gamma must be positive, got nan"',
+    "",
+])
+
+
+def _golden_reports():
+    """The sample reports and two iusv runs with a non-finite gamma, with
+    fixed runtimes."""
+    plan, tables = example_counter_tables()
+    reports = _sample_reports() + [
+        run_method(RunConfig(method="iusv", label="inf", gamma=float("inf")), plan, tables),
+        run_method(RunConfig(method="iusv", label="nan", gamma=float("nan")), plan, tables),
+    ]
+    return [replace(r, runtime_seconds=None, assemble_seconds=0.125) for r in reports]
+
+
+def test_reports_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "reports.csv"
+    reports_to_csv(_golden_reports(), path)
+    assert path.read_bytes() == _GOLDEN_CSV.encode()
+    # what it reads back writes the same bytes again, NaN included
+    again = tmp_path / "again.csv"
+    reports_to_csv(reports_from_csv(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_reports_json_roundtrip(tmp_path):

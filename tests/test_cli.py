@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from assemblage_shapley import bench, evaluate_plan
-from assemblage_shapley.cli import main
+from assemblage_shapley import IngestError, RunConfig, bench, evaluate_plan, shapley
+from assemblage_shapley.cli import build_parser, main
 from assemblage_shapley.engine import dump_coalition
 
 from helpers import example_counter_tables
@@ -225,6 +225,8 @@ def test_bench_matrix(tmp_path):
     assert all(r["status"] == "ok" for r in reports)
     # gamma only affects routing, not values
     assert reports[0]["allocation_exact"] == reports[1]["allocation_exact"]
+    # a knob the cell leaves out takes RunConfig's default
+    assert (reports[2]["gamma"], reports[2]["seed"]) == (RunConfig.gamma, RunConfig.seed)
     assert report_csv.exists()
 
 
@@ -330,6 +332,45 @@ def test_shapley_requires_inputs(tmp_path, capsys):
     rc = main(["shapley", "--method", "trad", "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    # the flags' defaults are RunConfig's, whose gamma is the allocator's
+    parser = build_parser()
+    args = parser.parse_args(["shapley", "--method", "trad", "--out", "r.json"])
+    defaults = RunConfig(method="trad")
+    assert (args.gamma, args.samples, args.seed, args.timeout) == (
+        defaults.gamma, defaults.samples, defaults.seed, defaults.timeout_s
+    )
+    assert defaults.gamma == shapley.DEFAULT_GAMMA
+    args = parser.parse_args(["bench", "--matrix", "m.json", "--out", "r.json"])
+    assert args.timeout == defaults.timeout_s
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        "{}",
+        "[]",
+        "{",
+        '{"n_owners": "3", "tables": {}}',
+        '{"n_owners": 1, "tables": {"t": {"owners": {"0": "t.csv"}}}}',
+        '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "owners": ["t.csv"]}}}',
+        '{"n_owners": 1, "tables": {"t": null}}',
+    ],
+    ids=["empty", "array", "not-json", "text-n-owners", "no-schema", "owners-list", "null-table"],
+)
+def test_cli_reports_a_malformed_manifest_cleanly(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest)
+    plan = DATA / "plan.json"
+    with pytest.raises(IngestError) as exc_info:
+        bench.load_assignment(path)
+    assert exc_info.value.path == str(path)
+    for argv in [
+        ["assemble", "--manifest", str(path), "--plan", str(plan), "--out", str(tmp_path / "c")],
+        ["shapley", "--method", "iusv", "--manifest", str(path), "--plan", str(plan),
+         "--out", str(tmp_path / "r.json")],
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {exc_info.value}\n"
 
 
 def test_cli_reports_plan_errors_cleanly(tmp_path, capsys):

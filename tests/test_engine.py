@@ -199,6 +199,22 @@ def test_output_witnesses_stay_masks(monkeypatch):
     assert len(built) == 9
 
 
+def test_coalition_dump_writes_masks_without_owner_sets(monkeypatch):
+    lefts = [OwnedTable("l", o, ("k", "a"), ((1, "x"),)) for o in range(3)]
+    rights = [OwnedTable("r", o + 3, ("k", "b"), ((1, "y"),)) for o in (0, 2)]
+    d = evaluate_plan(NaturalJoin(Scan("l"), Scan("r")), lefts + rights)
+    built = []
+    real_init = OwnerSet.__init__
+    monkeypatch.setattr(
+        OwnerSet,
+        "__init__",
+        lambda s, width, bits=0: built.append(bits) or real_init(s, width, bits),
+    )
+    dumped = coalition_to_dict(d)
+    assert built == []
+    assert dumped["tuples"][0]["syntheses"] == [[0, 3], [1, 3], [2, 3], [0, 5], [1, 5], [2, 5]]
+
+
 def test_utility_fn_applied_and_validated():
     t = OwnedTable("t", 0, ("x",), ((1,), (2,)))
     d = evaluate_plan(Scan("t"), [t], utility_fn=lambda row: Fraction(row[0], 2))
