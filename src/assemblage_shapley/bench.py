@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence, get_args, get_type_hints
 from .baselines import PRNG_NAME, UtilityEvaluator, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
-from .errors import IngestError, UndefinedMetricError
+from .errors import IngestError, UndefinedMetricError, read_json
 from .model import Allocation
 from .plans import PlanNode
 from .shapley import DEFAULT_GAMMA, CaseStats, iusv_all
@@ -75,7 +75,7 @@ def _read_csv(
     type, a missing header, a row with the wrong number of fields or a bad
     cell raises :class:`IngestError` naming the file and line."""
     for attr, kind in types.items():
-        if kind not in CELL_PARSERS:
+        if not (isinstance(kind, str) and kind in CELL_PARSERS):
             raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -158,15 +158,12 @@ def load_assignment(manifest_path: str | Path) -> tuple[list[OwnedTable], int, A
     """Load the owner tables written by :func:`write_assignment`.
 
     A manifest that is not JSON, or lacks an integer ``n_owners`` or a
-    ``tables`` object whose entries each hold a ``schema`` list and an
-    ``owners`` object, raises :class:`IngestError` naming the manifest.
+    ``tables`` object whose entries each hold a ``schema`` list, an optional
+    ``types`` object and an ``owners`` object from owner indices to file
+    names, raises :class:`IngestError` naming the manifest.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"manifest is not JSON: {exc}", path=str(manifest_path)) from None
+    manifest = read_json(manifest_path, "manifest")
     _check_manifest(manifest, manifest_path)
     base = manifest_path.parent
     tables: list[OwnedTable] = []
@@ -190,9 +187,16 @@ def _check_manifest(manifest: Any, path: Path) -> None:
         )
     for name, entry in tables.items():
         entry = entry if isinstance(entry, dict) else {}
-        if not (isinstance(entry.get("schema"), list) and isinstance(entry.get("owners"), dict)):
+        owners = entry.get("owners")
+        if not (
+            isinstance(entry.get("schema"), list)
+            and isinstance(entry.get("types", {}), dict)
+            and isinstance(owners, dict)
+            and all(k.isdecimal() and isinstance(f, str) for k, f in owners.items())
+        ):
             raise IngestError(
-                f'manifest table {name!r} needs a "schema" list and an "owners" object',
+                f'manifest table {name!r} needs a "schema" list, an optional "types" '
+                'object and an "owners" object from owner indices to file names',
                 path=str(path),
             )
 
@@ -504,6 +508,8 @@ def _cell_parser(hint) -> Callable[[str], Any]:
 #: how its cell parses: a ``str``, ``int`` or ``float`` field (or ``None``) as
 #: such, and every other field as JSON.
 _CSV_PARSERS = {name: _cell_parser(hint) for name, hint in get_type_hints(RunReport).items()}
+#: The plain ``str`` fields, whose empty cell is the empty string.
+_TEXT = {name for name, hint in get_type_hints(RunReport).items() if hint is str}
 
 
 def reports_to_json(reports: Sequence[RunReport], path: str | Path) -> None:
@@ -531,12 +537,13 @@ def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
 
 
 def reports_from_csv(path: str | Path) -> list[RunReport]:
-    """Read the reports :func:`reports_to_csv` wrote; an empty cell is ``None``."""
+    """Read the reports :func:`reports_to_csv` wrote; an empty cell is ``""``
+    in a ``str`` field and ``None`` in any other."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             kwargs = {
-                col: None if raw == "" else _CSV_PARSERS.get(col, str)(raw)
+                col: None if raw == "" and col not in _TEXT else _CSV_PARSERS.get(col, str)(raw)
                 for col, raw in row.items()
             }
             kwargs["metrics"] = kwargs.get("metrics") or {}

@@ -33,15 +33,22 @@ from .bench import (
 )
 from .datagen import AssignmentScenario, generate_assignment
 from .engine import dump_coalition, evaluate_plan, load_coalition
-from .errors import AssemblageError
+from .errors import AssemblageError, IngestError, read_json
 from .plans import load_plan
 
 
-def _load_schema_config(path: str | None) -> dict:
+def _load_schema_config(path: str | None) -> tuple[dict, dict[str, dict[str, str]]]:
+    """A ``gen --schema`` file, which must be an object of tables each with an
+    optional ``types`` object, and those types by table. Their type names are
+    checked on ingest."""
     if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return {}, {}
+    config = read_json(path, "schema config")
+    entries = config.values() if isinstance(config, dict) else [None]
+    if not all(isinstance(e, dict) and isinstance(e.get("types", {}), dict) for e in entries):
+        message = 'schema config must map each table to an object with an optional "types" object'
+        raise IngestError(message, path=path)
+    return config, {name: entry.get("types", {}) for name, entry in config.items()}
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -72,11 +79,10 @@ def _scenario_from_args(args) -> AssignmentScenario:
 
 
 def _cmd_gen(args) -> int:
-    schema_config = _load_schema_config(args.schema)
+    schema_config, types = _load_schema_config(args.schema)
     tables = ingest_csv(args.csv, schema_config)
     scenario = _scenario_from_args(args)
     assignment = generate_assignment(tables, scenario)
-    types = {name: dict(cfg.get("types", {})) for name, cfg in schema_config.items()}
     manifest = write_assignment(assignment, args.out, types=types)
     rows = {t.name: len(t) for t in tables}
     print(f"ingested {len(tables)} tables: {rows}")
@@ -133,11 +139,7 @@ def _cmd_shapley(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        try:
-            matrix = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AssemblageError(f"matrix {args.matrix} is not JSON: {exc}") from None
+    matrix = read_json(args.matrix, "matrix")
     cells = matrix.get("cells") if isinstance(matrix, dict) else None
     if not (isinstance(cells, list) and all(isinstance(cell, dict) for cell in cells)):
         raise AssemblageError(

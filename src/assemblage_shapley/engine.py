@@ -12,6 +12,10 @@ join minimalises each matching pair's unions, and no two pairs give one row;
 a projection or union minimalises only rows that collide. The output rows are
 checked against the cap, and their masks are wrapped as they stand: a
 ``SynthesisSet`` stores int masks, not ``OwnerSet``s.
+
+The ``plans`` module owns the column layout. The whole plan is type-checked
+and laid out once, by ``plans.plan_layout``, before any row is read, and the
+engine takes every output schema and column position from that layout.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import PlanError, SynthesisLimitError
+from .errors import IngestError, PlanError, SynthesisLimitError, read_json
 from .model import DEFAULT_MAX_OWNERS, OwnerSet, as_utility, bit_indices
-from .plans import EquiJoin, NaturalJoin, PlanNode, Project, Scan, Union, output_schema
+from .plans import (
+    EquiJoin, Layout, NaturalJoin, PlanNode, Project, Scan, Union, children, plan_layout,
+)
 
 Row = tuple
 
@@ -220,20 +226,33 @@ def infer_n_owners(tables: Sequence[OwnedTable]) -> int:
 Relation = dict  # Row -> list[int] witness masks
 
 
-def _merge_into(dest: Relation, src_items, cap: int, where: str) -> None:
-    """Merge (row, masks) pairs into dest, minimalizing rows that collide."""
-    for row, masks in src_items:
-        have = dest.get(row)
-        if have is None:
-            dest[row] = list(masks)
-        else:
-            merged = _minimal_masks(have + list(masks))
-            if len(merged) > cap:
-                raise SynthesisLimitError(
-                    f"tuple {row!r} accumulated {len(merged)} minimal syntheses "
-                    f"(cap {cap}) during {where}"
-                )
-            dest[row] = merged
+#: How a synthesis cap error names each operator.
+_OPERATOR = {Scan: "scan", Project: "projection", NaturalJoin: "join", EquiJoin: "join",
+             Union: "union"}
+
+
+def _cap_error(row: Row, count: int, cap: int, node: PlanNode) -> SynthesisLimitError:
+    """The error for ``row`` with ``count`` > ``cap`` minimal syntheses after ``node``."""
+    return SynthesisLimitError(
+        f"tuple {row!r} has {count} minimal syntheses (cap {cap}) after {_OPERATOR[type(node)]}"
+    )
+
+
+def _merged(sources, cap: int, node: PlanNode) -> Relation:
+    """One relation of the (row, masks) pairs of ``sources``, minimalizing
+    rows that collide."""
+    dest: Relation = {}
+    for items in sources:
+        for row, masks in items:
+            have = dest.get(row)
+            if have is None:
+                dest[row] = list(masks)
+            else:
+                merged = _minimal_masks(have + list(masks))
+                if len(merged) > cap:
+                    raise _cap_error(row, len(merged), cap, node)
+                dest[row] = merged
+    return dest
 
 
 def evaluate_plan(
@@ -260,55 +279,34 @@ def evaluate_plan(
     for t in tables:
         if t.owner >= n_owners:
             raise PlanError(f"table {t.table!r} owner {t.owner} outside universe of {n_owners}")
-    catalog = _catalog(tables)
-    output_schema(plan, catalog)  # type-check the whole tree up front
+    layout = plan_layout(plan, _catalog(tables))  # type-check the whole tree up front
 
     by_name: dict[str, list[OwnedTable]] = {}
     for t in sorted(tables, key=lambda t: t.owner):
         by_name.setdefault(t.table, []).append(t)
 
-    def eval_node(node: PlanNode) -> tuple[tuple[str, ...], Relation]:
+    def eval_node(node: PlanNode, lay: Layout) -> Relation:
+        rels = [eval_node(c, c_lay) for c, c_lay in zip(children(node), lay.inputs)]
         if isinstance(node, Scan):
-            schema = catalog[node.table]
-            where = [(schema.index(a), v) for a, v in node.where]
             rel: Relation = {}
             for t in by_name[node.table]:  # ascending owners
                 mask = 1 << t.owner
                 for row in t.rows:
-                    if any(row[i] != v for i, v in where):
+                    if any(row[i] != v for i, v in lay.where):
                         continue
                     masks = rel.setdefault(row, [])
                     if not masks or masks[-1] != mask:  # one owner, two copies of the table
                         masks.append(mask)
-            return schema, rel
+            return rel
 
         if isinstance(node, Project):
-            schema, rel = eval_node(node.child)
-            idx = [schema.index(c) for c in node.columns]
-            out_schema = tuple(node.rename) if node.rename is not None else node.columns
-            out: Relation = {}
-            _merge_into(
-                out,
-                ((tuple(row[i] for i in idx), masks) for row, masks in rel.items()),
-                max_syntheses,
-                "projection",
-            )
-            return out_schema, out
+            idx = lay.columns
+            projected = ((tuple(row[i] for i in idx), masks) for row, masks in rels[0].items())
+            return _merged([projected], max_syntheses, node)
 
         if isinstance(node, (NaturalJoin, EquiJoin)):
-            lschema, lrel = eval_node(node.left)
-            rschema, rrel = eval_node(node.right)
-            if isinstance(node, NaturalJoin):
-                shared = [a for a in lschema if a in rschema]
-                lkey = [lschema.index(a) for a in shared]
-                rkey = [rschema.index(a) for a in shared]
-                rkeep = [i for i, a in enumerate(rschema) if a not in shared]
-            else:
-                lkey = [lschema.index(la) for la, _ in node.on]
-                rkey = [rschema.index(ra) for _, ra in node.on]
-                dropped = {ra for _, ra in node.on}
-                rkeep = [i for i, a in enumerate(rschema) if a not in dropped]
-            out_schema = output_schema(node, catalog)
+            lrel, rrel = rels
+            lkey, rkey, rkeep = lay.left_key, lay.right_key, lay.right_keep
 
             index: dict[Row, list[tuple[Row, list[int]]]] = {}
             for rrow, rmasks in rrel.items():
@@ -323,37 +321,25 @@ def evaluate_plan(
                     row = lrow + tuple(rrow[i] for i in rkeep)
                     combined = _minimal_masks(lm | rm for lm in lmasks for rm in rmasks)
                     if len(combined) > max_syntheses:
-                        raise SynthesisLimitError(
-                            f"tuple {row!r} accumulated {len(combined)} minimal syntheses "
-                            f"(cap {max_syntheses}) during join"
-                        )
+                        raise _cap_error(row, len(combined), max_syntheses, node)
                     out[row] = combined
-            return out_schema, out
+            return out
 
-        if isinstance(node, Union):
-            out_schema = output_schema(node, catalog)
-            out: Relation = {}
-            for child in node.children:
-                _, rel = eval_node(child)
-                _merge_into(out, rel.items(), max_syntheses, "union")
-            return out_schema, out
+        # a Union: plan_layout rejected every other node type
+        return _merged([rel.items() for rel in rels], max_syntheses, node)
 
-        raise PlanError(f"unknown plan node type {type(node).__name__}")
-
-    schema, rel = eval_node(plan)
+    rel = eval_node(plan, layout)
 
     tuples = []
     one = Fraction(1)  # the default utility, shared by every row
     for row, masks in rel.items():
         # the only cap check for scan rows and rows no projection merged
         if len(masks) > max_syntheses:
-            raise SynthesisLimitError(
-                f"tuple {row!r} has {len(masks)} minimal syntheses (cap {max_syntheses})"
-            )
+            raise _cap_error(row, len(masks), max_syntheses, plan)
         syntheses = SynthesisSet._trusted(n_owners, tuple(masks))
         utility = as_utility(utility_fn(row)) if utility_fn is not None else one
         tuples.append(CoalitionTuple(values=row, utility=utility, syntheses=syntheses))
-    return CoalitionSet(schema=schema, tuples=tuple(tuples), n_owners=n_owners)
+    return CoalitionSet(schema=layout.schema, tuples=tuple(tuples), n_owners=n_owners)
 
 
 def restrict_tables(tables: Sequence[OwnedTable], owners: OwnerSet) -> list[OwnedTable]:
@@ -430,5 +416,10 @@ def dump_coalition(d: CoalitionSet, path) -> None:
 
 
 def load_coalition(path) -> CoalitionSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return coalition_from_dict(json.load(fh))
+    """The coalition set in the JSON file ``path``; a file that is not JSON or
+    not a coalition set is an :class:`IngestError` naming it."""
+    data = read_json(path, "coalition set")
+    try:
+        return coalition_from_dict(data)
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise IngestError(f"malformed coalition set: {exc!r}", path=str(path)) from None

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader
+that reports malformed input with them."""
+
+import json
+from typing import Any
 
 
 class AssemblageError(Exception):
@@ -42,3 +46,13 @@ class CostLimitError(AssemblageError):
 
 class UndefinedMetricError(AssemblageError):
     """A metric's denominator is zero, so the metric is undefined."""
+
+
+def read_json(path, what: str) -> Any:
+    """The JSON value in the file ``path``; text that is not JSON raises an
+    :class:`IngestError` that calls the file ``what`` and names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{what} is not JSON: {exc}", path=str(path)) from None

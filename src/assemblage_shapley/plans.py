@@ -5,6 +5,10 @@ filtered on constant equality), projections (optionally renaming output
 columns), natural joins, equi-joins on explicit attribute pairs, and set
 unions. Plans serialize to/from a JSON expression tree; the schema is
 documented in ``docs/plan_schema.md``.
+
+This module owns each node's column layout: :func:`node_layout` decides it
+and raises every schema error, and :func:`plan_layout` folds it over a tree
+for the engine to execute.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .errors import PlanError
+from .errors import PlanError, read_json
 
 
 class PlanNode:
@@ -85,8 +89,38 @@ class Union(PlanNode):
             raise PlanError("union needs at least two inputs")
 
 
-def output_schema(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
-    """Compute the output attribute names of ``node``.
+@dataclass(frozen=True)
+class Layout:
+    """One plan node's output ``schema``, its children's layouts ``inputs``,
+    and the input positions it reads (empty where its kind reads none): a
+    scan's filter ``where`` as (position, constant) pairs, a projection's
+    ``columns``, and a join's ``left_key``/``right_key`` pairs and the
+    ``right_keep`` columns it appends to the left row."""
+
+    schema: tuple[str, ...]
+    inputs: tuple["Layout", ...] = ()
+    where: tuple[tuple[int, Any], ...] = ()
+    columns: tuple[int, ...] = ()
+    left_key: tuple[int, ...] = ()
+    right_key: tuple[int, ...] = ()
+    right_keep: tuple[int, ...] = ()
+
+
+def children(node: PlanNode) -> tuple[PlanNode, ...]:
+    """The inputs of ``node``, in plan order."""
+    if isinstance(node, Project):
+        return (node.child,)
+    if isinstance(node, (NaturalJoin, EquiJoin)):
+        return (node.left, node.right)
+    if isinstance(node, Union):
+        return node.children
+    return ()
+
+
+def node_layout(
+    node: PlanNode, inputs: tuple[Layout, ...], catalog: Mapping[str, tuple[str, ...]]
+) -> Layout:
+    """Lay out ``node`` over its children's layouts ``inputs``.
 
     ``catalog`` maps logical table names to their schemas. Raises
     :class:`PlanError` on unknown tables, missing attributes, joins with no
@@ -99,51 +133,61 @@ def output_schema(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> tup
         for attr, _ in node.where:
             if attr not in schema:
                 raise PlanError(f"filter attribute {attr!r} not in table {node.table!r} {schema}")
-        return schema
+        return Layout(schema, where=tuple((schema.index(a), v) for a, v in node.where))
     if isinstance(node, Project):
-        child = output_schema(node.child, catalog)
+        child = inputs[0].schema
         for c in node.columns:
             if c not in child:
                 raise PlanError(f"projected attribute {c!r} not in input schema {child}")
         out = node.rename if node.rename is not None else node.columns
         if len(set(out)) != len(out):
             raise PlanError(f"duplicate attribute names in projection output {out}")
-        return tuple(out)
-    if isinstance(node, NaturalJoin):
-        left = output_schema(node.left, catalog)
-        right = output_schema(node.right, catalog)
-        shared = [a for a in left if a in right]
-        if not shared:
-            raise PlanError(
-                f"natural join inputs share no attributes: {left} vs {right}"
-            )
-        return left + tuple(a for a in right if a not in left)
-    if isinstance(node, EquiJoin):
-        left = output_schema(node.left, catalog)
-        right = output_schema(node.right, catalog)
-        for la, ra in node.on:
+        return Layout(tuple(out), inputs, columns=tuple(child.index(c) for c in node.columns))
+    if isinstance(node, (NaturalJoin, EquiJoin)):
+        left, right = inputs[0].schema, inputs[1].schema
+        # a natural join is an equi-join on its shared attributes; it keeps
+        # only right attributes not on the left, so it never renames one
+        on = node.on if isinstance(node, EquiJoin) else tuple((a, a) for a in left if a in right)
+        if not on:
+            raise PlanError(f"natural join inputs share no attributes: {left} vs {right}")
+        for la, ra in on:
             if la not in left:
                 raise PlanError(f"join attribute {la!r} not in left schema {left}")
             if ra not in right:
                 raise PlanError(f"join attribute {ra!r} not in right schema {right}")
-        dropped = {ra for _, ra in node.on}
+        dropped = {ra for _, ra in on}
+        keep = tuple(i for i, a in enumerate(right) if a not in dropped)
         out = list(left)
-        for a in right:
-            if a in dropped:
-                continue
-            name = a if a not in left else f"{a}_r"
+        for i in keep:
+            name = right[i] if right[i] not in left else f"{right[i]}_r"
             if name in out:
                 raise PlanError(f"attribute name collision on {name!r} in equi-join output")
             out.append(name)
-        return tuple(out)
+        return Layout(
+            tuple(out),
+            inputs,
+            left_key=tuple(left.index(la) for la, _ in on),
+            right_key=tuple(right.index(ra) for _, ra in on),
+            right_keep=keep,
+        )
     if isinstance(node, Union):
-        schemas = [output_schema(c, catalog) for c in node.children]
-        first = schemas[0]
-        for s in schemas[1:]:
-            if s != first:
-                raise PlanError(f"union inputs have different schemas: {first} vs {s}")
-        return first
+        first = inputs[0].schema
+        for s in inputs[1:]:
+            if s.schema != first:
+                raise PlanError(f"union inputs have different schemas: {first} vs {s.schema}")
+        return Layout(first, inputs)
     raise PlanError(f"unknown plan node type {type(node).__name__}")
+
+
+def plan_layout(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> Layout:
+    """Lay out ``node`` and every node under it, children first, each once."""
+    inputs = tuple(plan_layout(c, catalog) for c in children(node))
+    return node_layout(node, inputs, catalog)
+
+
+def output_schema(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """The output attribute names of ``node``; raises what :func:`node_layout` raises."""
+    return plan_layout(node, catalog).schema
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -192,10 +236,19 @@ def plan_to_dict(node: PlanNode) -> dict:
 
 
 def plan_from_dict(data: Mapping[str, Any]) -> PlanNode:
+    """The plan tree ``data`` describes; a node that lacks a field or holds a
+    field of the wrong shape is a :class:`PlanError`."""
     try:
         op = data["op"]
     except (TypeError, KeyError):
         raise PlanError(f"plan node must be an object with an 'op' field, got {data!r}") from None
+    try:
+        return _node_from_dict(op, data)
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise PlanError(f"malformed {op!r} plan node: {exc!r}") from None
+
+
+def _node_from_dict(op: Any, data: Mapping[str, Any]) -> PlanNode:
     if op == "scan":
         where = tuple(sorted((a, _value_from_json(v)) for a, v in data.get("where", {}).items()))
         return Scan(table=data["table"], where=where)
@@ -228,5 +281,10 @@ def plan_from_json(text: str) -> PlanNode:
 
 
 def load_plan(path) -> PlanNode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return plan_from_dict(json.load(fh))
+    """The plan in the JSON file ``path``; a file that is not JSON or not a
+    plan raises an error that names it."""
+    data = read_json(path, "plan")
+    try:
+        return plan_from_dict(data)
+    except PlanError as exc:
+        raise PlanError(f"plan {path}: {exc}") from None

@@ -390,3 +390,74 @@ def test_cli_reports_plan_errors_cleanly(tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown table" in capsys.readouterr().err
+
+
+def test_shapley_json_and_csv_reports_read_back_equal(tmp_path):
+    # without --label the report's label is "", which its CSV must keep
+    outdir = _gen(tmp_path)
+    out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+    rc = main(
+        [
+            "shapley", "--method", "iusv", "--manifest", str(outdir / "manifest.json"),
+            "--plan", str(DATA / "plan.json"), "--out", str(out), "--csv-out", str(csv_out),
+        ]
+    )
+    assert rc == 0
+    (report,) = bench.reports_from_json(out)
+    assert report.label == ""
+    assert bench.reports_from_csv(csv_out) == [report]
+
+
+@pytest.mark.parametrize(
+    "schema, named",
+    [
+        ("{", "schema.json"),
+        ('{"items": []}', "schema.json"),
+        ('{"items": {"types": []}}', "schema.json"),
+        ('{"items": {"types": {"weight": "float"}}}', "items.csv"),  # checked on ingest
+    ],
+    ids=["not-json", "table-list", "types-list", "unknown-type"],
+)
+def test_gen_reports_a_malformed_schema_config_cleanly(tmp_path, capsys, schema, named):
+    path = tmp_path / "schema.json"
+    path.write_text(schema)
+    out = tmp_path / "owners"
+    rc = main(["gen", str(DATA / "items.csv"), "--schema", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{named}]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_MANIFEST_OWNER_X = '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "owners": {"x": "t.csv"}}}}'
+_MANIFEST_TYPES_LIST = (
+    '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "types": [], "owners": {"0": "t.csv"}}}}'
+)
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--plan", '{"op": "scan"}'),
+        ("--plan", "not json"),
+        ("--coalition", "{}"),
+        ("--manifest", _MANIFEST_OWNER_X),
+        ("--manifest", _MANIFEST_TYPES_LIST),
+    ],
+    ids=["plan-missing-field", "plan-not-json", "coalition-empty", "owner-key", "types-list"],
+)
+def test_cli_reports_malformed_json_inputs_cleanly(tmp_path, capsys, flag, text):
+    outdir = _gen(tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    inputs = {"--manifest": str(outdir / "manifest.json"), "--plan": str(DATA / "plan.json")}
+    if flag == "--coalition":
+        argv = ["shapley", "--method", "iusv", "--coalition", str(bad)]
+    else:
+        inputs[flag] = str(bad)
+        argv = ["assemble", "--manifest", inputs["--manifest"], "--plan", inputs["--plan"]]
+    rc = main(argv + ["--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err

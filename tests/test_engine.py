@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 import assemblage_shapley.engine as engine_module
+import assemblage_shapley.plans as plans_module
 from assemblage_shapley import (
     EquiJoin,
     NaturalJoin,
@@ -258,6 +259,99 @@ def test_schema_disagreement_between_owners_rejected():
         evaluate_plan(Scan("a"), [t1, t2])
 
 
+class _Unscannable:
+    """Rows that fail the test if anything reads them."""
+
+    def __iter__(self):
+        raise AssertionError("a row was scanned before the plan type-checked")
+
+
+def _unscannable_tables():
+    tables = [
+        OwnedTable("a", 0, ("k", "x", "v"), ((1, "p", 2),)),
+        OwnedTable("b", 1, ("k", "y", "v"), ((1, "q", 3),)),
+        OwnedTable("c", 2, ("k", "v", "v_r"), ((1, 4, 5),)),
+    ]
+    for t in tables:
+        object.__setattr__(t, "rows", _Unscannable())
+    return tables
+
+
+_BAD_PLANS = {
+    "unknown-table": (Scan("nope"), "unknown table 'nope'"),
+    "filter-attribute": (
+        Scan("a", where=(("zz", 1),)),
+        "filter attribute 'zz' not in table 'a' ('k', 'x', 'v')",
+    ),
+    "projected-attribute": (
+        Project(Scan("a"), ("zz",)),
+        "projected attribute 'zz' not in input schema ('k', 'x', 'v')",
+    ),
+    "projection-duplicate": (
+        Project(Scan("a"), ("k", "x"), rename=("n", "n")),
+        "duplicate attribute names in projection output ('n', 'n')",
+    ),
+    "natural-join-disjoint": (
+        NaturalJoin(Project(Scan("a"), ("x",)), Project(Scan("b"), ("y",))),
+        "natural join inputs share no attributes: ('x',) vs ('y',)",
+    ),
+    "equi-join-left": (
+        EquiJoin(Scan("a"), Scan("b"), (("zz", "k"),)),
+        "join attribute 'zz' not in left schema ('k', 'x', 'v')",
+    ),
+    "equi-join-right": (
+        EquiJoin(Scan("a"), Scan("b"), (("k", "zz"),)),
+        "join attribute 'zz' not in right schema ('k', 'y', 'v')",
+    ),
+    "equi-join-collision": (
+        # b's "v" is renamed "v_r", which c already has
+        EquiJoin(Scan("c"), Scan("b"), (("k", "k"),)),
+        "attribute name collision on 'v_r' in equi-join output",
+    ),
+    "union-schemas": (
+        Union((Scan("a"), Scan("b"))),
+        "union inputs have different schemas: ('k', 'x', 'v') vs ('k', 'y', 'v')",
+    ),
+}
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["root", "under-a-join"])
+@pytest.mark.parametrize("case", list(_BAD_PLANS))
+def test_bad_plan_error_text_before_any_row_is_scanned(case, nested):
+    plan, message = _BAD_PLANS[case]
+    if nested:  # a scan that runs first, were the plan checked node by node
+        plan = NaturalJoin(Scan("a"), plan)
+    with pytest.raises(PlanError) as exc_info:
+        evaluate_plan(plan, _unscannable_tables())
+    assert str(exc_info.value) == message
+
+
+def test_each_node_is_laid_out_once(monkeypatch, miniworld):
+    laid_out = []
+    real = plans_module.node_layout
+    monkeypatch.setattr(
+        plans_module,
+        "node_layout",
+        lambda node, *args: laid_out.append(type(node).__name__) or real(node, *args),
+    )
+    d = evaluate_plan(miniworld.plan, miniworld.assignment.tables)
+    assert len(laid_out) == 6 and d == miniworld.coalition
+    facts = OwnedTable("facts", 0, ("pk", "fk"), ((1, 2),))
+    dims = OwnedTable("dims", 1, ("fk", "attr"), ((2, "x"),))
+    for plan, tables, nodes in [
+        # the C7 join and the two-catalogue union of the benchmark workloads
+        (Project(NaturalJoin(Scan("facts"), Scan("dims")), ("pk", "attr")), [facts, dims], 4),
+        (
+            Union((Project(Scan("facts"), ("pk",)), Project(Scan("dims"), ("fk",), ("pk",)))),
+            [facts, dims],
+            5,
+        ),
+    ]:
+        laid_out.clear()
+        evaluate_plan(plan, tables)
+        assert len(laid_out) == nodes
+
+
 def test_row_arity_validation():
     with pytest.raises(PlanError, match="in table 'a' of owner 0"):
         OwnedTable("a", 0, ("x", "y"), ((1,),))
@@ -291,6 +385,13 @@ def test_synthesis_cap_aborts_with_diagnostic():
     assert len(d.tuples[0].syntheses) == 9
     with pytest.raises(SynthesisLimitError):
         evaluate_plan(plan, lefts + rights, max_syntheses=4)
+    # each message names the row, the count, the cap and the operator
+    message = r"tuple \(1, 'x', 'y'\) has 9 minimal syntheses \(cap 4\) after join$"
+    with pytest.raises(SynthesisLimitError, match=message):
+        evaluate_plan(plan, lefts + rights, max_syntheses=4)
+    union = Union((Project(Scan("l"), ("k",)), Project(Scan("r"), ("k",))))
+    with pytest.raises(SynthesisLimitError, match=r"^tuple \(1,\) has 5 .*\(cap 4\) after union$"):
+        evaluate_plan(union, lefts + rights[:2], max_syntheses=4)
 
 
 @pytest.mark.parametrize(
@@ -301,6 +402,10 @@ def test_synthesis_cap_on_rows_no_operator_combines(plan):
     n = DEFAULT_MAX_SYNTHESES + 1
     tables = [OwnedTable("t", o, ("x", "y"), ((7, "a"),)) for o in range(n)]
     with pytest.raises(SynthesisLimitError, match=f"{n} minimal syntheses"):
+        evaluate_plan(plan, tables)
+    operator = "scan" if isinstance(plan, Scan) else "projection"
+    message = rf"^tuple \(7,.*\) has {n} minimal syntheses \(cap 64\) after {operator}$"
+    with pytest.raises(SynthesisLimitError, match=message):
         evaluate_plan(plan, tables)
     (t,) = evaluate_plan(plan, tables[1:]).tuples
     assert len(t.syntheses) == DEFAULT_MAX_SYNTHESES
