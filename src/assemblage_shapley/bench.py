@@ -18,18 +18,19 @@ from __future__ import annotations
 import csv
 import json
 import multiprocessing
+import re
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Collection, Mapping, Sequence, get_args, get_type_hints
 
 from .baselines import PRNG_NAME, UtilityEvaluator, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
 from .errors import IngestError, UndefinedMetricError, read_json
 from .model import Allocation
-from .plans import PlanNode
+from .plans import PlanNode, required_columns
 from .shapley import DEFAULT_GAMMA, CaseStats, iusv_all
 
 #: How a CSV cell of each type parses. Each ignores surrounding whitespace.
@@ -37,6 +38,28 @@ CELL_PARSERS: dict[str, Callable[[str], Any]] = {
     "string": str.strip,
     "integer": int,
     "decimal": Fraction,
+}
+
+#: Decimal text that is plainly a ``Fraction``: an optional sign, digits, and
+#: optionally ``/`` and a nonzero denominator, as :func:`write_assignment` writes.
+_PLAIN_DECIMAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
+def _check_decimal(raw: str) -> None:
+    if _PLAIN_DECIMAL.fullmatch(raw) is None:
+        Fraction(raw)
+
+
+def _check_integer(raw: str) -> None:
+    int(raw)
+
+
+#: How a CSV cell of each type is checked when no plan column reads it: it
+#: raises exactly when its ``CELL_PARSERS`` entry raises, and gives ``None``.
+_CELL_CHECKS: dict[str, Callable[[str], None]] = {
+    "string": lambda raw: None,
+    "integer": _check_integer,
+    "decimal": _check_decimal,
 }
 
 
@@ -69,11 +92,14 @@ def _read_csv(
     types: Mapping[str, str],
     *,
     schema: tuple[str, ...] | None = None,
+    read: Collection[int] | None = None,
 ) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     """The header and typed rows of one CSV file; ``types`` maps attributes
-    to cell types. With ``schema``, the header must equal it. An unknown
-    type, a missing header, a row with the wrong number of fields or a bad
-    cell raises :class:`IngestError` naming the file and line."""
+    to cell types. With ``schema``, the header must equal it. With ``read``,
+    only the cells at those positions are parsed; every other cell is checked
+    and stored as ``None``. An unknown type, a missing header, a row with the
+    wrong number of fields or a bad cell, parsed or checked, raises
+    :class:`IngestError` naming the file and line."""
     for attr, kind in types.items():
         if not (isinstance(kind, str) and kind in CELL_PARSERS):
             raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
@@ -88,7 +114,10 @@ def _read_csv(
         if schema is not None and header != schema:
             raise IngestError("owner file header disagrees with manifest", path=str(path), line=1)
         kinds = [types.get(a, "string") for a in header]
-        parsers = [CELL_PARSERS[kind] for kind in kinds]
+        parsers = [
+            CELL_PARSERS[kind] if read is None or i in read else _CELL_CHECKS[kind]
+            for i, kind in enumerate(kinds)
+        ]
         rows = []
         for line_no, record in enumerate(reader, start=2):
             if not record:
@@ -154,24 +183,37 @@ def _cell_to_text(v) -> str:
     return str(v)
 
 
-def load_assignment(manifest_path: str | Path) -> tuple[list[OwnedTable], int, AssignmentScenario | None]:
+def load_assignment(
+    manifest_path: str | Path, *, plan: PlanNode | None = None
+) -> tuple[list[OwnedTable], int, AssignmentScenario | None]:
     """Load the owner tables written by :func:`write_assignment`.
 
     A manifest that is not JSON, or lacks an integer ``n_owners`` or a
     ``tables`` object whose entries each hold a ``schema`` list, an optional
     ``types`` object and an ``owners`` object from owner indices to file
     names, raises :class:`IngestError` naming the manifest.
+
+    With ``plan``, the plan is checked against the manifest's schemas before
+    any owner file is opened, and only the cells it reads
+    (:func:`~assemblage_shapley.plans.required_columns`) are parsed. Every
+    other cell is still checked, and is stored as ``None``, so each table
+    keeps its schema and row width and the plan's output is unchanged.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path, "manifest")
     _check_manifest(manifest, manifest_path)
+    reads = None
+    if plan is not None:
+        catalog = {name: tuple(entry["schema"]) for name, entry in manifest["tables"].items()}
+        reads = required_columns(plan, catalog)
     base = manifest_path.parent
     tables: list[OwnedTable] = []
     for name, entry in sorted(manifest["tables"].items()):
         schema = tuple(entry["schema"])
         types = entry.get("types", {})
+        read = None if reads is None else reads.get(name, ())
         for owner_str, fname in sorted(entry["owners"].items(), key=lambda kv: int(kv[0])):
-            _, rows = _read_csv(base / fname, types, schema=schema)
+            _, rows = _read_csv(base / fname, types, schema=schema, read=read)
             tables.append(OwnedTable(table=name, owner=int(owner_str), schema=schema, rows=rows))
     scenario = None
     if manifest.get("scenario"):
@@ -518,8 +560,15 @@ def reports_to_json(reports: Sequence[RunReport], path: str | Path) -> None:
 
 
 def reports_from_json(path: str | Path) -> list[RunReport]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [RunReport.from_dict(d) for d in json.load(fh)]
+    """The reports :func:`reports_to_json` wrote; a file that is not JSON or
+    not a list of reports is an :class:`IngestError` naming it."""
+    data = read_json(path, "report file")
+    try:
+        if not isinstance(data, list):
+            raise TypeError(f"expected a list of reports, got {type(data).__name__}")
+        return [RunReport.from_dict(d) for d in data]
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"malformed report file: {exc}", path=str(path)) from None
 
 
 def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:

@@ -91,8 +91,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    tables, n_owners, _ = load_assignment(args.manifest)
     plan = load_plan(args.plan)
+    tables, n_owners, _ = load_assignment(args.manifest, plan=plan)
     d = evaluate_plan(plan, tables, n_owners=n_owners)
     dump_coalition(d, args.out)
     print(f"coalition set: {len(d)} tuples over {n_owners} owners -> {args.out}")
@@ -122,8 +122,8 @@ def _cmd_shapley(args) -> int:
     else:
         if not (args.manifest and args.plan):
             raise AssemblageError("need --manifest and --plan (or --coalition for iusv)")
-        tables, n_owners, _ = load_assignment(args.manifest)
         plan = load_plan(args.plan)
+        tables, n_owners, _ = load_assignment(args.manifest, plan=plan)
         report = run_method(config, plan, tables, n_owners=n_owners, reference=reference)
 
     reports_to_json([report], args.out)
@@ -164,8 +164,9 @@ def _cmd_bench(args) -> int:
         )
 
         def load(cell=cell):
-            tables, n_owners, _ = load_assignment(cell.get("manifest", args.manifest))
-            return load_plan(cell.get("plan", args.plan)), tables, n_owners
+            plan = load_plan(cell.get("plan", args.plan))
+            tables, n_owners, _ = load_assignment(cell.get("manifest", args.manifest), plan=plan)
+            return plan, tables, n_owners
 
         report = run_cell(knobs, load)
         reports.append(report)

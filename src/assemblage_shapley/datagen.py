@@ -18,6 +18,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .engine import OwnedTable, SourceTable
+from .errors import IngestError, read_json
 from .model import DEFAULT_MAX_OWNERS
 
 OWNER_MODES = ("EO", "UO")
@@ -64,8 +65,15 @@ class AssignmentScenario:
 
     @classmethod
     def load(cls, path) -> "AssignmentScenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The scenario in the JSON file ``path``; a file that is not JSON or
+        not a valid scenario is an :class:`IngestError` naming it."""
+        data = read_json(path, "scenario")
+        try:
+            if not isinstance(data, dict):
+                raise TypeError(f"expected an object, got {type(data).__name__}")
+            return cls.from_dict(data)
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"malformed scenario: {exc}", path=str(path)) from None
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -8,7 +8,8 @@ documented in ``docs/plan_schema.md``.
 
 This module owns each node's column layout: :func:`node_layout` decides it
 and raises every schema error, and :func:`plan_layout` folds it over a tree
-for the engine to execute.
+for the engine to execute. :func:`required_columns` reads that layout to tell
+ingest which columns of each table the plan reads.
 """
 
 from __future__ import annotations
@@ -188,6 +189,43 @@ def plan_layout(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> Layou
 def output_schema(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
     """The output attribute names of ``node``; raises what :func:`node_layout` raises."""
     return plan_layout(node, catalog).schema
+
+
+def required_columns(
+    plan: PlanNode, catalog: Mapping[str, tuple[str, ...]]
+) -> dict[str, frozenset[int]]:
+    """For each table ``plan`` scans, the positions of the columns it reads.
+
+    Walks :func:`plan_layout` top-down from all of the root's output columns:
+    a projection reads the input columns behind the ones asked of it, a join
+    its key columns and the input columns behind the ones asked of it, a
+    union the same columns of every input, and a scan its filter columns
+    too. A table scanned twice reads the union of both sets. Every other
+    column of a table can be dropped at ingest without changing the plan's
+    output: in the why-provenance semiring projection commutes with the
+    scan. Raises what :func:`plan_layout` raises.
+    """
+    reads: dict[str, set[int]] = {}
+
+    def walk(node: PlanNode, lay: Layout, used: set[int]) -> None:
+        if isinstance(node, Scan):
+            reads.setdefault(node.table, set()).update(used, (i for i, _ in lay.where))
+            return
+        if isinstance(node, Project):
+            wanted = [{lay.columns[i] for i in used}]
+        elif isinstance(node, (NaturalJoin, EquiJoin)):
+            n_left = len(lay.inputs[0].schema)
+            left = {i for i in used if i < n_left}
+            right = {lay.right_keep[i - n_left] for i in used if i >= n_left}
+            wanted = [left.union(lay.left_key), right.union(lay.right_key)]
+        else:  # a Union: plan_layout rejected every other node type
+            wanted = [used] * len(lay.inputs)
+        for child, child_lay, child_used in zip(children(node), lay.inputs, wanted):
+            walk(child, child_lay, child_used)
+
+    layout = plan_layout(plan, catalog)
+    walk(plan, layout, set(range(len(layout.schema))))
+    return {table: frozenset(used) for table, used in reads.items()}
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -8,9 +8,12 @@ from random import Random
 
 from assemblage_shapley import (
     AssignmentScenario,
+    EquiJoin,
     NaturalJoin,
     OwnedTable,
     OwnerSet,
+    PlanError,
+    PlanNode,
     Project,
     Scan,
     SourceTable,
@@ -19,6 +22,7 @@ from assemblage_shapley import (
     generate_assignment,
     minimalize,
 )
+from assemblage_shapley.plans import output_schema
 
 
 def permutation_oracle(s: SynthesisSet, utility: Fraction) -> dict[int, Fraction]:
@@ -146,3 +150,72 @@ def random_mini_dataset(rng: Random, max_owners: int = 8) -> tuple:
     else:
         plan = Project(join, ("fk", "attr"))
     return plan, tables, n_owners
+
+
+#: The tables of :func:`random_owned_tables`: schemas, manifest cell types and
+#: the small domain each attribute draws from, so that joins and filters match.
+RANDOM_SCHEMAS = {"a": ("k", "v", "p"), "b": ("k", "w", "p"), "c": ("v", "w")}
+RANDOM_TYPES = {"a": {"k": "integer", "p": "decimal"}, "b": {"k": "integer", "p": "decimal"}}
+RANDOM_DOMAINS = {
+    "k": (0, 1, 2, 3),
+    "v": ("v0", "v1", "v2"),
+    "w": ("w0", "w1"),
+    "p": (Fraction(0), Fraction(1, 2), Fraction(3, 2)),
+}
+
+
+def random_owned_tables(rng: Random, n_owners: int = 5) -> list[OwnedTable]:
+    """Small random tables ``a``, ``b`` and ``c`` of :data:`RANDOM_SCHEMAS`,
+    each row held by one or two of ``n_owners`` owners."""
+    held: dict[tuple[str, int], list[tuple]] = {}
+    for name, schema in RANDOM_SCHEMAS.items():
+        for _ in range(rng.randint(1, 8)):
+            row = tuple(rng.choice(RANDOM_DOMAINS[a]) for a in schema)
+            for owner in rng.sample(range(n_owners), rng.randint(1, 2)):
+                held.setdefault((name, owner), []).append(row)
+    return [
+        OwnedTable(name, owner, RANDOM_SCHEMAS[name], tuple(rows))
+        for (name, owner), rows in sorted(held.items())
+    ]
+
+
+def random_plan(rng: Random, depth: int = 3) -> PlanNode:
+    """A random plan over :data:`RANDOM_SCHEMAS` that type-checks: filtered
+    scans, projections, natural joins, equi-joins and unions, in which a
+    table may be scanned more than once."""
+    while True:
+        try:
+            plan = _random_node(rng, depth)
+            output_schema(plan, RANDOM_SCHEMAS)
+            return plan
+        except PlanError:
+            continue
+
+
+def _random_node(rng: Random, depth: int) -> PlanNode:
+    ops = ("scan", "project", "natural_join", "equi_join", "union")
+    op = rng.choice(ops if depth else ("scan",))
+    if op == "scan":
+        table = rng.choice(sorted(RANDOM_SCHEMAS))
+        where = ()
+        if rng.random() < 0.3:
+            attr = rng.choice(RANDOM_SCHEMAS[table])
+            where = ((attr, rng.choice(RANDOM_DOMAINS[attr])),)
+        return Scan(table, where)
+    if op == "project":
+        child = _random_node(rng, depth - 1)
+        schema = output_schema(child, RANDOM_SCHEMAS)
+        return Project(child, tuple(rng.sample(schema, rng.randint(1, len(schema)))))
+    left, right = _random_node(rng, depth - 1), _random_node(rng, depth - 1)
+    if op == "natural_join":
+        return NaturalJoin(left, right)
+    lschema, rschema = output_schema(left, RANDOM_SCHEMAS), output_schema(right, RANDOM_SCHEMAS)
+    if op == "equi_join":
+        return EquiJoin(left, right, ((rng.choice(lschema), rng.choice(rschema)),))
+    # a union of two projections onto columns renamed alike
+    width = rng.randint(1, min(len(lschema), len(rschema)))
+    names = tuple(f"u{i}" for i in range(width))
+    return Union((
+        Project(left, tuple(rng.sample(lschema, width)), names),
+        Project(right, tuple(rng.sample(rschema, width)), names),
+    ))

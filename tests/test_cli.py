@@ -461,3 +461,43 @@ def test_cli_reports_malformed_json_inputs_cleanly(tmp_path, capsys, flag, text)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{", '{"nope": 1}', "[]", '{"k": 0}', '{"k": "five"}'],
+    ids=["not-json", "unknown-field", "array", "bad-k", "k-text"],
+)
+def test_gen_reports_a_malformed_scenario_cleanly(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    out = tmp_path / "owners"
+    rc = main(["gen", str(DATA / "items.csv"), "--scenario", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{", "{}", '[{"nope": 1}]', "[1]"],
+    ids=["not-json", "object", "unknown-field", "not-a-report"],
+)
+def test_shapley_reports_a_malformed_reference_cleanly(tmp_path, capsys, text):
+    outdir = _gen(tmp_path)
+    capsys.readouterr()
+    path = tmp_path / "reference.json"
+    path.write_text(text)
+    with pytest.raises(IngestError) as exc_info:
+        bench.reports_from_json(path)
+    assert exc_info.value.path == str(path)
+    rc = main(
+        [
+            "shapley", "--method", "iusv", "--manifest", str(outdir / "manifest.json"),
+            "--plan", str(DATA / "plan.json"), "--reference", str(path),
+            "--out", str(tmp_path / "r.json"),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {exc_info.value}\n"
