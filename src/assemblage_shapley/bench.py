@@ -191,7 +191,8 @@ def load_assignment(
     A manifest that is not JSON, or lacks an integer ``n_owners`` or a
     ``tables`` object whose entries each hold a ``schema`` list, an optional
     ``types`` object and an ``owners`` object from owner indices to file
-    names, raises :class:`IngestError` naming the manifest.
+    names, or holds a ``scenario`` that is not a valid scenario object,
+    raises :class:`IngestError` naming the manifest.
 
     With ``plan``, the plan is checked against the manifest's schemas before
     any owner file is opened, and only the cells it reads
@@ -202,6 +203,9 @@ def load_assignment(
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path, "manifest")
     _check_manifest(manifest, manifest_path)
+    scenario = None
+    if manifest.get("scenario"):
+        scenario = AssignmentScenario._checked(manifest["scenario"], manifest_path)
     reads = None
     if plan is not None:
         catalog = {name: tuple(entry["schema"]) for name, entry in manifest["tables"].items()}
@@ -215,9 +219,6 @@ def load_assignment(
         for owner_str, fname in sorted(entry["owners"].items(), key=lambda kv: int(kv[0])):
             _, rows = _read_csv(base / fname, types, schema=schema, read=read)
             tables.append(OwnedTable(table=name, owner=int(owner_str), schema=schema, rows=rows))
-    scenario = None
-    if manifest.get("scenario"):
-        scenario = AssignmentScenario.from_dict(manifest["scenario"])
     return tables, manifest["n_owners"], scenario
 
 

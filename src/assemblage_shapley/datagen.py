@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from random import Random
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .engine import OwnedTable, SourceTable
 from .errors import IngestError, read_json
@@ -67,7 +67,13 @@ class AssignmentScenario:
     def load(cls, path) -> "AssignmentScenario":
         """The scenario in the JSON file ``path``; a file that is not JSON or
         not a valid scenario is an :class:`IngestError` naming it."""
-        data = read_json(path, "scenario")
+        return cls._checked(read_json(path, "scenario"), path)
+
+    @classmethod
+    def _checked(cls, data: Any, path) -> "AssignmentScenario":
+        """The scenario in the JSON value ``data`` read from the file ``path``;
+        a value that is not a valid scenario is an :class:`IngestError`
+        naming the file."""
         try:
             if not isinstance(data, dict):
                 raise TypeError(f"expected an object, got {type(data).__name__}")

@@ -394,7 +394,12 @@ def coalition_to_dict(d: CoalitionSet) -> dict:
 
 
 def coalition_from_dict(data: Mapping[str, Any]) -> CoalitionSet:
+    """The coalition set in ``data``, as :func:`coalition_to_dict` writes it.
+    An ``n_owners`` that is not an integer from 0 to ``DEFAULT_MAX_OWNERS``
+    raises ``ValueError``, as :func:`evaluate_plan` would refuse it."""
     n = data["n_owners"]
+    if type(n) is not int or not 0 <= n <= DEFAULT_MAX_OWNERS:
+        raise ValueError(f"n_owners must be an integer from 0 to {DEFAULT_MAX_OWNERS}, got {n!r}")
     tuples = []
     for item in data["tuples"]:
         syntheses = SynthesisSet.from_sets(

@@ -16,12 +16,15 @@ appearing in its minimal syntheses matter. Per tuple there are four routes:
   (a bitset over the 2**n owner subsets) serves every SL-routed owner of a
   tuple. A hyper-parameter ``gamma`` picks between the routes.
 
-The driver :func:`iusv_all` computes each distinct witness list (a tuple's
-antichain of minimal syntheses, the normal form of its why-provenance) once,
-at utility 1: values are linear in the utility, so the tuples that share a
-list contribute their utility sum times the list's unit values. A shape
-cache further shares the computation between lists that differ only by an
-owner relabelling.
+Every route runs in one private core, :func:`_unit_values`, which reads a
+tuple's masks with its owners relabelled to their rank among them and
+returns each rank's value at utility 1. The public per-tuple functions are
+thin wrappers over it. The driver :func:`iusv_all` computes each distinct
+witness list (a tuple's antichain of minimal syntheses, the normal form of
+its why-provenance) once: values are linear in the utility, so the tuples
+that share a list contribute their utility sum times the list's unit values.
+A shape cache further shares the core's result between lists that differ
+only by an owner relabelling.
 
 All arithmetic is exact (``Fraction``); binomials are exact integers. The
 driver sums each owner's share as integer numerators keyed by denominator
@@ -77,11 +80,15 @@ TupleCase = SingleOwnerOnly | UniqueMultiOwner | General
 
 
 def classify_tuple(s: SynthesisSet) -> TupleCase:
-    multi = [m for m in s.masks() if m & (m - 1)]
+    return _classify(s.masks())
+
+
+def _classify(masks: Sequence[int]) -> TupleCase:
+    multi = [m for m in masks if m & (m - 1)]
     if not multi:
-        return SingleOwnerOnly(m=len(s))
+        return SingleOwnerOnly(m=len(masks))
     if len(multi) == 1:
-        return UniqueMultiOwner(m=multi[0].bit_count(), k=len(s) - 1)
+        return UniqueMultiOwner(m=multi[0].bit_count(), k=len(masks) - 1)
     return General()
 
 
@@ -96,14 +103,7 @@ def shapley_single_owner_only(s: SynthesisSet, utility: Fraction) -> dict[int, F
     case = classify_tuple(s)
     if not isinstance(case, SingleOwnerOnly):
         raise ValueError(f"tuple is not single-owner-only: {case}")
-    return _single_owner_only(s, case, utility)
-
-
-def _single_owner_only(
-    s: SynthesisSet, case: SingleOwnerOnly, utility: Fraction
-) -> dict[int, Fraction]:
-    share = utility / case.m
-    return {m.bit_length() - 1: share for m in s.masks()}
+    return iusv_tuple(s, utility)
 
 
 def shapley_unique_multi(s: SynthesisSet, utility: Fraction) -> dict[int, Fraction]:
@@ -117,23 +117,7 @@ def shapley_unique_multi(s: SynthesisSet, utility: Fraction) -> dict[int, Fracti
     case = classify_tuple(s)
     if not isinstance(case, UniqueMultiOwner):
         raise ValueError(f"tuple has no unique multi-owner synthesis: {case}")
-    return _unique_multi(s, case, utility)
-
-
-def _unique_multi(
-    s: SynthesisSet, case: UniqueMultiOwner, utility: Fraction
-) -> dict[int, Fraction]:
-    m, k = case.m, case.k
-    multi_share = utility / ((m + k) * comb(m + k - 1, m - 1))
-    out: dict[int, Fraction] = {}
-    single_share = (utility - m * multi_share) / k if k else None
-    for mask in s.masks():
-        if mask & (mask - 1):
-            for owner in bit_indices(mask):
-                out[owner] = multi_share
-        else:
-            out[mask.bit_length() - 1] = single_share
-    return out
+    return iusv_tuple(s, utility)
 
 
 # --- synthesis-combination (SC) ----------------------------------------------
@@ -214,6 +198,17 @@ def _union_probability(masks: Sequence[int], max_terms: int) -> Fraction:
     return sum((Fraction(c, n) for n, c in enumerate(coeff) if c and n), Fraction(0))
 
 
+def _sc(w_u: Sequence[int], w_not_u: Sequence[int], max_terms: int) -> Fraction:
+    """SC value at utility 1 of an owner held by the syntheses ``w_u`` and
+    missing from ``w_not_u`` (all masks)."""
+    if not w_u:
+        return Fraction(0)
+    value = _union_probability(w_u, max_terms)
+    if w_not_u:
+        value -= _union_probability([a | b for a in w_u for b in w_not_u], max_terms)
+    return value
+
+
 def shapley_sc(
     owner: int,
     split: SynthesisSplit,
@@ -230,14 +225,8 @@ def shapley_sc(
     Cost is exponential in ``max(m_u, m_u * m_not_u)``; exceeding ``max_terms``
     raises :class:`CostLimitError` so the driver can fall back to SL.
     """
-    if split.m_u == 0:
-        return Fraction(0)
-    wu = [s.bits for s in split.w_u]
-    value = _union_probability(wu, max_terms)
-    if split.m_not_u:
-        pairs = [a | b.bits for a in wu for b in split.w_not_u]
-        value -= _union_probability(pairs, max_terms)
-    return utility * value
+    w_u = [s.bits for s in split.w_u]
+    return utility * _sc(w_u, [s.bits for s in split.w_not_u], max_terms)
 
 
 # --- synthesis-look-up (SL) ---------------------------------------------------
@@ -407,75 +396,77 @@ def iusv_tuple(
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return _tuple_values(
-        s, classify_tuple(s), utility, gamma, stats, sc_max_terms, sl_max_owners
-    )
+    owners, local = _rank_relabel(s)
+    by_rank, delta = _unit_values(owners, local, gamma, sc_max_terms, sl_max_owners)
+    if stats is not None:
+        stats.merge(delta)
+    return {owner: utility * v for owner, v in zip(owners, by_rank)}
 
 
-def _tuple_values(
-    s: SynthesisSet,
-    case: TupleCase,
-    utility: Fraction,
+def _unit_values(
+    owners: Sequence[int],
+    local: Sequence[int],
     gamma: float,
-    stats: CaseStats | None,
     sc_max_terms: int,
     sl_max_owners: int,
-    relabelled: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> dict[int, Fraction]:
-    """:func:`iusv_tuple` for a tuple already classified as ``case``;
-    ``relabelled`` is its :func:`_rank_relabel`, if the caller has it."""
-    if isinstance(case, SingleOwnerOnly):
-        if stats is not None:
-            stats.single_owner_only += 1
-        return _single_owner_only(s, case, utility)
-    if isinstance(case, UniqueMultiOwner):
-        if stats is not None:
-            stats.unique_multi += 1
-        return _unique_multi(s, case, utility)
+) -> tuple[tuple[Fraction, ...], CaseStats]:
+    """The values at utility 1 of every rank of a tuple, and its case counts.
 
-    if stats is not None:
-        stats.general += 1
-    owners, local = relabelled if relabelled is not None else _rank_relabel(s)
+    ``local`` is the tuple's witness list with each owner relabelled to its
+    rank in ``owners`` (:func:`_rank_relabel`), so everything here depends on
+    the list's shape alone; ``owners`` only names the global owner in a
+    double budget failure.
+    """
+    stats = CaseStats()
     n_t = len(owners)
+    case = _classify(local)
+    if isinstance(case, SingleOwnerOnly):
+        stats.single_owner_only = 1
+        return (Fraction(1, n_t),) * n_t, stats
+    if isinstance(case, UniqueMultiOwner):
+        stats.unique_multi = 1
+        m, k = case.m, case.k
+        multi_share = Fraction(1, (m + k) * comb(m + k - 1, m - 1))
+        single_share = (1 - m * multi_share) / k if k else None
+        multi = local[-1]  # canonical order puts the one multi-owner mask last
+        return tuple(multi_share if multi >> r & 1 else single_share for r in range(n_t)), stats
+
+    stats.general = 1
     m_us = [0] * n_t  # by rank: how many syntheses hold the owner
     for m in local:
         for rank in bit_indices(m):
             m_us[rank] += 1
     sl_table = None  # built on the first SL-routed owner, then shared
-    out: dict[int, Fraction] = {}
-    for rank, (owner, m_u) in enumerate(zip(owners, m_us)):
+    values = []
+    for rank, m_u in enumerate(m_us):
         m_not_u = len(local) - m_u
         if n_t > gamma * max(m_u, m_u * m_not_u):
             routes = ("sc", "sl")
         else:
             routes = ("sl", "sc")
-        value = None
         for i, route in enumerate(routes):
             try:
                 if route == "sc":
-                    split = SynthesisSplit.for_owner(s, owner)
-                    value = shapley_sc(owner, split, utility, max_terms=sc_max_terms)
+                    bit = 1 << rank
+                    w_u = [m for m in local if m & bit]
+                    value = _sc(w_u, [m for m in local if not m & bit], sc_max_terms)
+                    stats.sc_calls += 1
                 else:
                     if sl_table is None:
                         sl_table = _sl_table(local, sl_max_owners)
-                    value = utility * sl_table[rank]
+                    value = sl_table[rank]
+                    stats.sl_calls += 1
             except CostLimitError:
                 if i == 1:
                     raise CostLimitError(
-                        f"both SC and SL exceed their budgets for owner {owner} "
+                        f"both SC and SL exceed their budgets for owner {owners[rank]} "
                         f"(m_u={m_u}, m_not_u={m_not_u}, owners={n_t})"
                     ) from None
                 continue
-            if stats is not None:
-                if route == "sc":
-                    stats.sc_calls += 1
-                else:
-                    stats.sl_calls += 1
-                if i == 1:
-                    stats.fallbacks += 1
+            stats.fallbacks += i  # the second route ran: the first was over budget
             break
-        out[owner] = value
-    return out
+        values.append(value)
+    return tuple(values), stats
 
 
 def _rank_relabel(s: SynthesisSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -486,7 +477,10 @@ def _rank_relabel(s: SynthesisSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     bit order of the masks: the local masks are already in the engine's
     canonical (cardinality, bits) order and need no sort.
     """
-    owners = tuple(s.owners())
+    union = 0
+    for m in s.masks():
+        union |= m
+    owners = tuple(bit_indices(union))
     rank_bit = {1 << owner: 1 << r for r, owner in enumerate(owners)}
     local = []
     for m in s.masks():  # one pass per mask, one step per member
@@ -519,8 +513,9 @@ class _WitnessGroup:
     #: their utilities' numerators summed by denominator, so that grouping
     #: does no ``Fraction`` arithmetic
     utility_sums: defaultdict[int, int] = field(default_factory=lambda: defaultdict(int))
-    #: the list's values at utility 1, by owner
-    unit: dict[int, Fraction] | None = None
+    #: the list's owners, ascending, and their values at utility 1
+    owners: tuple[int, ...] = ()
+    unit: tuple[Fraction, ...] = ()
 
 
 def iusv_all(
@@ -539,24 +534,24 @@ def iusv_all(
 
     A tuple's values depend only on its antichain of minimal syntheses (its
     witness list), and linearly on its utility. So the tuples are first
-    grouped by witness list, in first-seen order, and each list is classified
-    and computed once, at utility 1. Since ``sum_t u_t * v = (sum_t u_t) * v``,
-    an owner's share from a group is the group's utility sum times the
-    owner's unit value; both are kept as integer numerators keyed by
-    denominator, and each share becomes one ``Fraction`` at the end.
+    grouped by witness list, in first-seen order, and each list is computed
+    once, at utility 1. Since ``sum_t u_t * v = (sum_t u_t) * v``, an owner's
+    share from a group is the group's utility sum times the owner's unit
+    value; both are kept as integer numerators keyed by denominator, and each
+    share becomes one ``Fraction`` at the end.
 
-    General-case lists also go through a shape cache that lives for this
+    Each list is relabelled once, and its shape (masks with owners relabelled
+    to their rank in the tuple) is looked up in a cache that lives for this
     call. By the symmetry axiom, two antichains that differ by an owner
-    relabelling get the same values, relabelled. So each shape (masks with
-    owners relabelled to their rank in the tuple) is computed once, on the
-    first list that has it; every list of that shape maps the per-rank values
-    back to its owners. A list's case counts are replayed once per tuple, so
-    ``stats`` and the cache's hits and misses are the same as computing tuple
-    by tuple. Routing and both budgets depend only on the shape, and lists
-    are visited in first-seen order, so a double budget failure still raises
-    on the first tuple over both budgets, naming that tuple's owner. With
-    ``per_tuple``, a second pass scales each tuple's unit values by its own
-    utility.
+    relabelling get the same values, relabelled. So :func:`_unit_values` runs
+    once per shape, on the first list that has it, and every list of that
+    shape maps the per-rank values back to its owners. A list's case counts
+    are replayed once per tuple, so ``stats`` are the same as computing tuple
+    by tuple. The cache's hits and misses count general-case tuples only.
+    Routing and both budgets depend only on the shape, and lists are visited
+    in first-seen order, so a double budget failure still raises on the first
+    tuple over both budgets, naming that tuple's owner. With ``per_tuple``, a
+    second pass scales each tuple's unit values by its own utility.
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
@@ -571,55 +566,44 @@ def iusv_all(
     stats = CaseStats()
     # shape -> (values at utility 1 by owner rank, the shape's CaseStats)
     cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], CaseStats]] = {}
-    hits = 0
     # per owner: numerators of its share keyed by denominator
     parts: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(d.n_owners)]
     for group in groups.values():
-        s = group.syntheses
-        case = classify_tuple(s)
-        if isinstance(case, General):
-            owners, key = _rank_relabel(s)
-            entry = cache.get(key)
-            if entry is None:
-                delta = CaseStats()
-                unit = _tuple_values(
-                    s, case, Fraction(1), gamma, delta, sc_max_terms, sl_max_owners,
-                    (owners, key),
-                )
-                entry = cache[key] = (tuple(unit[o] for o in owners), delta)
-                hits -= 1  # the group's first tuple is the miss
-            hits += group.count
-            by_rank, delta = entry
-            group.unit = dict(zip(owners, by_rank))
-        else:
-            delta = CaseStats()
-            group.unit = _tuple_values(
-                s, case, Fraction(1), gamma, delta, sc_max_terms, sl_max_owners
+        group.owners, key = _rank_relabel(group.syntheses)
+        entry = cache.get(key)
+        if entry is None:
+            entry = cache[key] = _unit_values(
+                group.owners, key, gamma, sc_max_terms, sl_max_owners
             )
+        group.unit, delta = entry
         stats.merge(delta, group.count)
-        for owner, v in group.unit.items():
+        for owner, v in zip(group.owners, group.unit):
             vn, vd = v.numerator, v.denominator
             owner_parts = parts[owner]
             for ud, un in group.utility_sums.items():
                 owner_parts[ud * vd] += un * vn
     shares = tuple(_sum_parts(p) for p in parts)
+    # each general shape's first tuple is a miss, every later one a hit
+    misses = sum(shape_stats.general for _, shape_stats in cache.values())
+    hits = stats.general - misses
 
     breakdown: dict[tuple[int, int], Fraction] | None = None
     if per_tuple:
         breakdown = {}
         for i, t in enumerate(d.tuples):
-            for owner, v in groups[t.syntheses.masks()].unit.items():
+            group = groups[t.syntheses.masks()]
+            for owner, v in zip(group.owners, group.unit):
                 breakdown[(i, owner)] = t.utility * v
     logger.debug(
         "iusv_all: %d general tuples, shape cache %d hits, %d misses (one per distinct shape)",
-        stats.general, hits, len(cache),
+        stats.general, hits, misses,
     )
     allocation = Allocation(shares=shares, per_tuple=breakdown)
     return IusvResult(
         allocation=allocation,
         stats=stats,
         shape_cache_hits=hits,
-        shape_cache_misses=len(cache),
+        shape_cache_misses=misses,
     )
 
 

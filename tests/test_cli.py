@@ -480,6 +480,61 @@ def test_gen_reports_a_malformed_scenario_cleanly(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "scenario",
+    [{"nope": 1}, [1], {"k": 0}, {"k": "five"}, "EO"],
+    ids=["unknown-field", "array", "bad-k", "k-text", "text"],
+)
+def test_assemble_reports_a_malformed_manifest_scenario_cleanly(tmp_path, capsys, scenario):
+    outdir = _gen(tmp_path)
+    capsys.readouterr()
+    path = outdir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["scenario"] = scenario
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(IngestError) as exc_info:
+        bench.load_assignment(path)
+    assert exc_info.value.path == str(path)
+    assert str(exc_info.value).startswith("malformed scenario: ")
+    argv = ["assemble", "--manifest", str(path), "--plan", str(DATA / "plan.json")]
+    assert main(argv + ["--out", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err == f"error: {exc_info.value}\n"
+
+
+@pytest.mark.parametrize(
+    "n_owners",
+    [4097, -1, 2.0, "3", True, None],
+    ids=["over-cap", "negative", "float", "text", "bool", "null"],
+)
+def test_shapley_rejects_a_coalition_n_owners_off_the_cap(tmp_path, capsys, n_owners):
+    # one tuple, so that an unchecked n_owners of a million would allocate
+    # per-owner state across the whole universe
+    path = tmp_path / "coalition.json"
+    path.write_text(json.dumps({
+        "schema": ["x"], "n_owners": n_owners,
+        "tuples": [{"values": [1], "utility": "1", "syntheses": [[0]]}],
+    }))
+    out = tmp_path / "r.json"
+    rc = main(["shapley", "--method", "iusv", "--coalition", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed coalition set: ") and f"{path}]" in err
+    assert "n_owners must be an integer from 0 to 4096" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_shapley_accepts_a_coalition_at_the_owner_cap(tmp_path):
+    path = tmp_path / "coalition.json"
+    path.write_text(json.dumps({
+        "schema": ["x"], "n_owners": 4096,
+        "tuples": [{"values": [1], "utility": "1", "syntheses": [[4095]]}],
+    }))
+    out = tmp_path / "r.json"
+    assert main(["shapley", "--method", "iusv", "--coalition", str(path), "--out", str(out)]) == 0
+    (report,) = bench.reports_from_json(out)
+    assert report.n_owners == 4096 and report.allocation_exact[4095] == "1"
+
+
+@pytest.mark.parametrize(
     "text",
     ["{", "{}", '[{"nope": 1}]', "[1]"],
     ids=["not-json", "object", "unknown-field", "not-a-report"],

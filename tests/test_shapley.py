@@ -482,56 +482,97 @@ def test_iusv_all_groups_repeated_witness_lists(d, gamma, sc_max_terms):
     assert res.shape_cache_hits + res.shape_cache_misses == stats.general
 
 
+def counting_core(monkeypatch):
+    """Patch the per-tuple core and the relabelling to record their inputs:
+    the relabelled witness lists and the shapes the core computes."""
+    relabelled, computed = [], []
+    real_relabel, real_core = shapley_module._rank_relabel, shapley_module._unit_values
+
+    def relabel(s):
+        relabelled.append(s.masks())
+        return real_relabel(s)
+
+    def core(owners, local, *args):
+        computed.append(local)
+        return real_core(owners, local, *args)
+
+    monkeypatch.setattr(shapley_module, "_rank_relabel", relabel)
+    monkeypatch.setattr(shapley_module, "_unit_values", core)
+    return relabelled, computed
+
+
 def test_iusv_all_computes_each_witness_list_once(monkeypatch):
-    general = mk(6, [0, 1], [0, 2])
-    closed = mk(6, [3, 4], [5])
+    # two lists of a general shape and two of a unique-multi closed form
+    general, general2 = mk(6, [0, 1], [0, 2]), mk(6, [3, 4], [3, 5])
+    closed, closed2 = mk(6, [3, 4], [5]), mk(6, [0, 1], [2])
     d = coalition(
         6,
         (F(1), general), (F(2, 3), closed), (F(0), general),
         (F(5, 7), closed), (F(3), general), (F(1, 2), closed),
+        (F(2), general2), (F(1, 4), closed2),
     )
-    calls = {"classify": 0, "relabel": 0}
-    real_classify, real_relabel = shapley_module.classify_tuple, shapley_module._rank_relabel
-
-    def counting(name, real):
-        def wrapper(s):
-            calls[name] += 1
-            return real(s)
-        return wrapper
-
-    monkeypatch.setattr(shapley_module, "classify_tuple", counting("classify", real_classify))
-    monkeypatch.setattr(shapley_module, "_rank_relabel", counting("relabel", real_relabel))
+    relabelled, computed = counting_core(monkeypatch)
     res = iusv_all(d, per_tuple=True)
-    assert calls == {"classify": 2, "relabel": 1}
+    # one relabelling per distinct list, one core call per distinct shape
+    assert relabelled == [s.masks() for s in (general, closed, general2, closed2)]
+    assert computed == [(0b011, 0b101), (0b100, 0b011)]
     monkeypatch.undo()
     shares, breakdown, stats = uncached(d)
     assert res.allocation.shares == shares
     assert res.allocation.per_tuple == breakdown
     assert res.stats == stats
-    assert (stats.general, stats.unique_multi) == (3, 3)
-    assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 1)
+    assert (stats.general, stats.unique_multi) == (4, 4)
+    # hits and misses count general-case tuples only
+    assert (res.shape_cache_hits, res.shape_cache_misses) == (3, 1)
 
 
-def test_split_is_built_only_for_sc_routed_owners(monkeypatch):
-    # COUNTER's shape on {0,1,2} and {3,5,6}; a path over {7,...,10}, twice
+def test_single_owner_only_lists_of_two_shapes_call_the_core_twice(monkeypatch):
+    # 60 lists: pairs and triples of single owners over 12 owners
+    rng = Random("single-owner-shapes")
+    tuples = []
+    for i in range(60):
+        owners = rng.sample(range(12), 2 + i % 2)
+        tuples.append((F(rng.randint(0, 9), rng.randint(1, 5)), mk(12, *[[o] for o in owners])))
+    d = coalition(12, *tuples)
+    relabelled, computed = counting_core(monkeypatch)
+    res = iusv_all(d, per_tuple=True)
+    assert computed == [(0b01, 0b10), (0b001, 0b010, 0b100)]
+    assert len(relabelled) == len({t.syntheses.masks() for t in d.tuples})
+    monkeypatch.undo()
+    shares, breakdown, stats = uncached(d)
+    assert res.allocation.shares == shares
+    assert res.allocation.per_tuple == breakdown
+    assert res.stats == stats and stats.single_owner_only == 60
+    assert (res.shape_cache_hits, res.shape_cache_misses) == (0, 0)
+
+
+def test_driver_builds_no_split_or_owner_set_at_any_gamma(monkeypatch):
+    # COUNTER's shape on {0,1,2} and {3,5,6}; a path over {7,...,10}, twice;
+    # and a unique-multi closed form
     path = mk(11, [7, 8], [8, 9], [9, 10])
     d = coalition(
         11,
         (F(1), mk(11, [0, 1], [0, 2])), (F(2), mk(11, [3, 5], [3, 6])),
-        (F(1), path), (F(3), path),
+        (F(1), path), (F(3), path), (F(5), mk(11, [1, 4], [6])),
     )
     shares = uncached(d)[0]
-    splits = []
-    real = SynthesisSplit.for_owner
-    monkeypatch.setattr(
-        SynthesisSplit, "for_owner", classmethod(lambda cls, s, o: splits.append(o) or real(s, o))
-    )
-    res = iusv_all(d, gamma=1e9)  # every owner to SL
-    assert splits == [] and res.stats.sl_calls == 14
-    res = iusv_all(d, gamma=1e-9)  # every owner to SC: one split per owner of a shape miss
-    assert splits == [0, 1, 2, 7, 8, 9, 10] and res.stats.sc_calls == 14
-    assert res.allocation.shares == shares
-    assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 2)
+    built = []
+    for cls in (SynthesisSplit, OwnerSet):
+        real = cls.__init__
+
+        def init(self, *args, _real=real, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    routed = {}
+    for gamma in (1e9, 1.0, 1e-9):  # every owner to SL, mixed, every owner to SC
+        res = iusv_all(d, gamma=gamma, per_tuple=True)
+        assert res.allocation.shares == shares
+        assert (res.shape_cache_hits, res.shape_cache_misses) == (2, 2)
+        routed[gamma] = (res.stats.sc_calls, res.stats.sl_calls)
+    assert built == []
+    assert routed[1e9] == (0, 14) and routed[1e-9] == (14, 0)
 
 
 def test_shape_cache_hits_on_relabelled_copies(caplog, monkeypatch):
