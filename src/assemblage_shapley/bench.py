@@ -150,7 +150,8 @@ def write_assignment(
     *,
     types: Mapping[str, Mapping[str, str]] | None = None,
 ) -> Path:
-    """Write per-owner CSV files plus a manifest describing them."""
+    """Write per-owner CSV files plus a manifest describing them; each cell is
+    written as its ``str``, and ``None`` as an empty field."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     types = types or {}
@@ -167,20 +168,11 @@ def write_assignment(
         fname = f"{t.table}__owner{t.owner:04d}.csv"
         entry["owners"][str(t.owner)] = fname
         with open(outdir / fname, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(t.schema)
-            for row in t.rows:
-                writer.writerow([_cell_to_text(v) for v in row])
+            csv.writer(fh).writerows([t.schema, *t.rows])
     manifest_path = outdir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     return manifest_path
-
-
-def _cell_to_text(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-    return str(v)
 
 
 def load_assignment(
@@ -392,16 +384,22 @@ class RunReport:
         return cls(status=status, **asdict(config), **fields)
 
     def exact_allocation(self) -> Allocation | None:
-        if self.allocation_exact is None:
+        """``allocation_exact``, which must be a list of strings of non-negative fractions."""
+        shares = self.allocation_exact
+        if shares is None:
             return None
-        return Allocation(shares=tuple(Fraction(s) for s in self.allocation_exact))
+        if not (isinstance(shares, list) and all(isinstance(v, str) for v in shares)):
+            raise TypeError(f"allocation_exact must be a list of strings, got {shares!r}")
+        return Allocation(shares=tuple(Fraction(v) for v in shares))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunReport":
-        return cls(**dict(data))
+        report = cls(**dict(data))
+        report.exact_allocation()  # raises on a malformed allocation_exact
+        return report
 
     def without_runtimes(self) -> "RunReport":
         return replace(self, runtime_seconds=None, assemble_seconds=None)
@@ -562,13 +560,13 @@ def reports_to_json(reports: Sequence[RunReport], path: str | Path) -> None:
 
 def reports_from_json(path: str | Path) -> list[RunReport]:
     """The reports :func:`reports_to_json` wrote; a file that is not JSON or
-    not a list of reports is an :class:`IngestError` naming it."""
+    not a list of valid reports is an :class:`IngestError` naming it."""
     data = read_json(path, "report file")
     try:
         if not isinstance(data, list):
             raise TypeError(f"expected a list of reports, got {type(data).__name__}")
         return [RunReport.from_dict(d) for d in data]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise IngestError(f"malformed report file: {exc}", path=str(path)) from None
 
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from dataclasses import fields
 
 from .bench import (
+    METHODS,
     RunConfig,
     ingest_csv,
     load_assignment,
@@ -31,7 +32,7 @@ from .bench import (
     run_method,
     write_assignment,
 )
-from .datagen import AssignmentScenario, generate_assignment
+from .datagen import ASSIGN_MODES, OWNER_MODES, AssignmentScenario, generate_assignment
 from .engine import dump_coalition, evaluate_plan, load_coalition
 from .errors import AssemblageError, IngestError, read_json
 from .plans import load_plan
@@ -53,29 +54,21 @@ def _load_schema_config(path: str | None) -> tuple[dict, dict[str, dict[str, str
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario JSON file (overrides the flags below)")
-    p.add_argument("--owner-mode", choices=["EO", "UO"], default="EO")
-    p.add_argument("--assign-mode", choices=["EA", "UA"], default="EA")
-    p.add_argument("--k", type=int, default=5, help="owners per governing table")
-    p.add_argument("--alpha", type=float, default=4.0, help="Zipf exponent for copy counts")
-    p.add_argument("--m", type=int, default=3, dest="max_copies", help="max copies of a record")
-    p.add_argument("--beta", type=float, default=3.0, help="Zipf exponent for UA owner weights")
-    p.add_argument("--small-table-threshold", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--owner-mode", choices=OWNER_MODES)
+    p.add_argument("--assign-mode", choices=ASSIGN_MODES)
+    p.add_argument("--k", type=int, help="owners per governing table")
+    p.add_argument("--alpha", type=float, help="Zipf exponent for copy counts")
+    p.add_argument("--m", type=int, dest="max_copies", help="max copies of a record")
+    p.add_argument("--beta", type=float, help="Zipf exponent for UA owner weights")
+    p.add_argument("--small-table-threshold", type=int)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(**AssignmentScenario().to_dict())  # each flag's dest is a scenario field
 
 
 def _scenario_from_args(args) -> AssignmentScenario:
     if args.scenario:
         return AssignmentScenario.load(args.scenario)
-    return AssignmentScenario(
-        owner_mode=args.owner_mode,
-        assign_mode=args.assign_mode,
-        k=args.k,
-        alpha=args.alpha,
-        max_copies=args.max_copies,
-        beta=args.beta,
-        small_table_threshold=args.small_table_threshold,
-        seed=args.seed,
-    )
+    return AssignmentScenario(**{f.name: getattr(args, f.name) for f in fields(AssignmentScenario)})
 
 
 def _cmd_gen(args) -> int:
@@ -115,15 +108,23 @@ def _cmd_shapley(args) -> int:
             raise AssemblageError(f"no exact allocation in reference {args.reference}")
         reference = ref_reports[0].exact_allocation()
 
+    def check_reference(n_owners: int) -> None:
+        if reference is not None and reference.n_owners != n_owners:
+            message = f"reference {args.reference} allocates to {reference.n_owners} owners"
+            raise AssemblageError(f"{message}, but the run has {n_owners}")
+
     if args.coalition:
         if args.method != "iusv":
             raise AssemblageError("--coalition input only supports the iusv method")
-        report = run_coalition(config, load_coalition(args.coalition), reference=reference)
+        d = load_coalition(args.coalition)
+        check_reference(d.n_owners)
+        report = run_coalition(config, d, reference=reference)
     else:
         if not (args.manifest and args.plan):
             raise AssemblageError("need --manifest and --plan (or --coalition for iusv)")
         plan = load_plan(args.plan)
         tables, n_owners, _ = load_assignment(args.manifest, plan=plan)
+        check_reference(n_owners)
         report = run_method(config, plan, tables, n_owners=n_owners, reference=reference)
 
     reports_to_json([report], args.out)
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_assemble)
 
     p = sub.add_parser("shapley", help="run one allocation method")
-    p.add_argument("--method", choices=["trad", "perm", "iusv"], required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--manifest", help="manifest.json from gen")
     p.add_argument("--plan", help="coalition plan JSON")
     p.add_argument("--coalition", help="pre-assembled coalition set JSON (iusv only)")

@@ -7,7 +7,8 @@ of the why-provenance (PosBool) semiring (Green, Karvounarakis & Tannen, PODS
 2007): an antichain in canonical (cardinality, bits) order. A subsumed witness
 never becomes minimal again under these monotone operators, so each row is
 minimalised once, where its witnesses combine. A scan reads owners in
-ascending order, so its distinct singleton witnesses are already canonical; a
+ascending order and collapses an owner's repeated rows (the one place they
+collapse), so its distinct singleton witnesses are already canonical; a
 join minimalises each matching pair's unions, and no two pairs give one row;
 a projection or union minimalises only rows that collide. The output rows are
 checked against the cap, and their masks are wrapped as they stand: a
@@ -38,15 +39,15 @@ DEFAULT_MAX_SYNTHESES = 64
 
 
 def _normalise_rows(table, where: str) -> None:
-    """Store ``table``'s schema and deduplicated rows as tuples; a row of the
-    wrong arity is a :class:`PlanError` naming ``where``."""
+    """Store ``table``'s schema and rows as tuples, the rows as given; a row
+    of the wrong arity is a :class:`PlanError` naming ``where``."""
     schema = tuple(table.schema)
     rows = tuple(map(tuple, table.rows))
     for row in rows:
         if len(row) != len(schema):
             raise PlanError(f"row arity {len(row)} != schema arity {len(schema)} in {where}")
     object.__setattr__(table, "schema", schema)
-    object.__setattr__(table, "rows", tuple(dict.fromkeys(rows)))
+    object.__setattr__(table, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class SourceTable:
 
     def __post_init__(self):
         _normalise_rows(self, f"table {self.name!r}")
+        object.__setattr__(self, "rows", tuple(dict.fromkeys(self.rows)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -68,8 +70,9 @@ class SourceTable:
 class OwnedTable:
     """One owner's copy of (part of) a logical table.
 
-    Duplicate rows held by the same owner are collapsed on construction: an
-    owner contributes at most one witness per row value.
+    Its rows are kept as given, duplicates included. The scan of
+    :func:`evaluate_plan` collapses an owner's repeated rows, so an owner
+    contributes at most one witness per row value.
     """
 
     table: str
@@ -240,15 +243,15 @@ def _cap_error(row: Row, count: int, cap: int, node: PlanNode) -> SynthesisLimit
 
 def _merged(sources, cap: int, node: PlanNode) -> Relation:
     """One relation of the (row, masks) pairs of ``sources``, minimalizing
-    rows that collide."""
+    rows that collide; it stores the lists it is given and changes none."""
     dest: Relation = {}
     for items in sources:
         for row, masks in items:
             have = dest.get(row)
             if have is None:
-                dest[row] = list(masks)
+                dest[row] = masks
             else:
-                merged = _minimal_masks(have + list(masks))
+                merged = _minimal_masks(have + masks)
                 if len(merged) > cap:
                     raise _cap_error(row, len(merged), cap, node)
                 dest[row] = merged
@@ -295,7 +298,7 @@ def evaluate_plan(
                     if any(row[i] != v for i, v in lay.where):
                         continue
                     masks = rel.setdefault(row, [])
-                    if not masks or masks[-1] != mask:  # one owner, two copies of the table
+                    if not masks or masks[-1] != mask:  # an owner's repeated row
                         masks.append(mask)
             return rel
 
@@ -337,6 +340,7 @@ def evaluate_plan(
         if len(masks) > max_syntheses:
             raise _cap_error(row, len(masks), max_syntheses, plan)
         syntheses = SynthesisSet._trusted(n_owners, tuple(masks))
+        rel[row] = None  # free each list as its tuple is built, to lower the peak
         utility = as_utility(utility_fn(row)) if utility_fn is not None else one
         tuples.append(CoalitionTuple(values=row, utility=utility, syntheses=syntheses))
     return CoalitionSet(schema=layout.schema, tuples=tuple(tuples), n_owners=n_owners)

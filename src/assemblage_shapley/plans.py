@@ -186,11 +186,6 @@ def plan_layout(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> Layou
     return node_layout(node, inputs, catalog)
 
 
-def output_schema(node: PlanNode, catalog: Mapping[str, tuple[str, ...]]) -> tuple[str, ...]:
-    """The output attribute names of ``node``; raises what :func:`node_layout` raises."""
-    return plan_layout(node, catalog).schema
-
-
 def required_columns(
     plan: PlanNode, catalog: Mapping[str, tuple[str, ...]]
 ) -> dict[str, frozenset[int]]:

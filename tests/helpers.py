@@ -22,7 +22,7 @@ from assemblage_shapley import (
     generate_assignment,
     minimalize,
 )
-from assemblage_shapley.plans import output_schema
+from assemblage_shapley.plans import plan_layout
 
 
 def permutation_oracle(s: SynthesisSet, utility: Fraction) -> dict[int, Fraction]:
@@ -186,7 +186,7 @@ def random_plan(rng: Random, depth: int = 3) -> PlanNode:
     while True:
         try:
             plan = _random_node(rng, depth)
-            output_schema(plan, RANDOM_SCHEMAS)
+            plan_layout(plan, RANDOM_SCHEMAS)
             return plan
         except PlanError:
             continue
@@ -204,12 +204,12 @@ def _random_node(rng: Random, depth: int) -> PlanNode:
         return Scan(table, where)
     if op == "project":
         child = _random_node(rng, depth - 1)
-        schema = output_schema(child, RANDOM_SCHEMAS)
+        schema = plan_layout(child, RANDOM_SCHEMAS).schema
         return Project(child, tuple(rng.sample(schema, rng.randint(1, len(schema)))))
     left, right = _random_node(rng, depth - 1), _random_node(rng, depth - 1)
     if op == "natural_join":
         return NaturalJoin(left, right)
-    lschema, rschema = output_schema(left, RANDOM_SCHEMAS), output_schema(right, RANDOM_SCHEMAS)
+    lschema, rschema = (plan_layout(n, RANDOM_SCHEMAS).schema for n in (left, right))
     if op == "equi_join":
         return EquiJoin(left, right, ((rng.choice(lschema), rng.choice(rschema)),))
     # a union of two projections onto columns renamed alike

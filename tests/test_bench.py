@@ -9,6 +9,8 @@ import pytest
 
 from assemblage_shapley import (
     Allocation,
+    Assignment,
+    AssignmentScenario,
     CaseStats,
     IngestError,
     OwnedTable,
@@ -137,6 +139,22 @@ def test_assignment_write_load_roundtrip(tmp_path, miniworld):
     assert sorted(tables, key=lambda t: (t.table, t.owner)) == sorted(
         miniworld.assignment.tables, key=lambda t: (t.table, t.owner)
     )
+
+
+def test_assignment_cells_are_written_as_pinned_bytes(tmp_path):
+    owned = OwnedTable("t", 0, ("n", "s", "d"), (
+        (1, "a,b", F(3)),
+        (-2, 'say "hi"', F(-3, 4)),
+        (30, "plain", F(5, 2)),
+    ))
+    assignment = Assignment((owned,), 1, {"t": (0,)}, AssignmentScenario())
+    types = {"t": {"n": "integer", "d": "decimal"}}
+    manifest = write_assignment(assignment, tmp_path, types=types)
+    assert (tmp_path / "t__owner0000.csv").read_bytes() == (
+        b'n,s,d\r\n1,"a,b",3\r\n-2,"say ""hi""",-3/4\r\n30,plain,5/2\r\n'
+    )
+    (loaded,), _, _ = load_assignment(manifest)
+    assert loaded == owned
 
 
 # --- metrics -------------------------------------------------------------------------

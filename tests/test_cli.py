@@ -1,10 +1,13 @@
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from assemblage_shapley import IngestError, RunConfig, bench, evaluate_plan, shapley
+from assemblage_shapley import (
+    AssignmentScenario, IngestError, RunConfig, bench, cli, evaluate_plan, shapley,
+)
 from assemblage_shapley.cli import build_parser, main
 from assemblage_shapley.engine import dump_coalition
 
@@ -57,6 +60,25 @@ def test_gen_is_deterministic(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+#: The sha256 of every file that ``gen`` writes for mini-world with its
+#: scenario file, so that any change to the bytes of an owner CSV or of the
+#: manifest fails a test.
+_MINI_WORLD_SHA256 = {
+    "customers__owner0000.csv": "2a2581aeba16d673efc936e0a24a9b7921c76ed0ec0fda15fef8b4c5623c6c09",
+    "customers__owner0001.csv": "cc68ed18cd0711adec115bfe1a2221f9e50de0bc3a695409d416f8ea35abacfb",
+    "customers__owner0002.csv": "800a007288e79ed8cc9814fb5916dfa02df8a32e2cdf217a8172c1a1099abced",
+    "customers__owner0003.csv": "82cc61623f9e37c608cc82dce41c05d1ba95a7a2055502d5925f698e78ef7a65",
+    "customers__owner0004.csv": "fcb7e18df6313ef878c76ad46ab896a28224840331bc5a9d440f540876a4f0e6",
+    "items__owner0010.csv": "8759d8e86582f07e301ee886ac27e911952ec37c7318bd0ab1ab5d711f157d56",
+    "manifest.json": "611ede985c15183243361854ed11a48b23eaac4d79b74659b788c3686554ff7a",
+    "orders__owner0005.csv": "4655eb3de4e55e96585b5ee1408fdd849819584bd719d2daee731273cc1dbfc1",
+    "orders__owner0006.csv": "6d2a3d81b369e6566a06ae8776bebabeeddcd9f6a672f270efed69023323fa2d",
+    "orders__owner0007.csv": "2f739a4aff949d81888d06f34dac0d59ce7d29a7d0d7e19a3693ca0c16bfe19b",
+    "orders__owner0008.csv": "972b352e6914aeba8e71542af9421c86906404e4b732eaeaab87058a9230ffdc",
+    "orders__owner0009.csv": "563d0e62fef59192d80fd2e9c36f5c8484a509497187380299722c1c2029222a",
+}
+
+
 def test_gen_accepts_scenario_file(tmp_path):
     outdir = tmp_path / "owners"
     rc = main(
@@ -77,6 +99,13 @@ def test_gen_accepts_scenario_file(tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["n_owners"] == 11
     assert manifest["scenario"]["seed"] == 7
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.iterdir()}
+    assert written == _MINI_WORLD_SHA256
+
+
+def test_gen_without_scenario_flags_builds_the_default_scenario():
+    args = build_parser().parse_args(["gen", "t.csv", "--out", "owners"])
+    assert cli._scenario_from_args(args) == AssignmentScenario()
 
 
 def test_assemble_and_shapley_pipeline(tmp_path):
@@ -534,10 +563,18 @@ def test_shapley_accepts_a_coalition_at_the_owner_cap(tmp_path):
     assert report.n_owners == 4096 and report.allocation_exact[4095] == "1"
 
 
+def _report_text(allocation_exact) -> str:
+    """A report file of one iusv report with ``allocation_exact``."""
+    report = bench.RunReport.for_config(RunConfig(method="iusv"), allocation_exact=allocation_exact)
+    return json.dumps([report.to_dict()])
+
+
 @pytest.mark.parametrize(
     "text",
-    ["{", "{}", '[{"nope": 1}]', "[1]"],
-    ids=["not-json", "object", "unknown-field", "not-a-report"],
+    ["{", "{}", '[{"nope": 1}]', "[1]", _report_text(["1", "x"]), _report_text(["1", "-1"]),
+     _report_text("12"), _report_text([1, 2]), _report_text(["1/0"])],
+    ids=["not-json", "object", "unknown-field", "not-a-report", "share-x", "negative-share",
+         "string-allocation", "int-shares", "zero-denominator"],
 )
 def test_shapley_reports_a_malformed_reference_cleanly(tmp_path, capsys, text):
     outdir = _gen(tmp_path)
@@ -556,3 +593,28 @@ def test_shapley_reports_a_malformed_reference_cleanly(tmp_path, capsys, text):
     )
     assert rc == 2
     assert capsys.readouterr().err == f"error: {exc_info.value}\n"
+
+
+@pytest.mark.parametrize("route", ["manifest", "coalition"])
+def test_shapley_refuses_a_reference_over_another_owner_count_before_the_run(
+    tmp_path, capsys, monkeypatch, route
+):
+    outdir = _gen(tmp_path)  # 5 owners
+    inputs = ["--manifest", str(outdir / "manifest.json"), "--plan", str(DATA / "plan.json")]
+    if route == "coalition":
+        coalition = tmp_path / "coalition.json"
+        assert main(["assemble", *inputs, "--out", str(coalition)]) == 0
+        inputs = ["--coalition", str(coalition)]
+    reference = tmp_path / "reference.json"
+    reference.write_text(_report_text(["1"] * 4))
+    for name in ("run_method", "run_coalition"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("the run started"))
+    capsys.readouterr()
+    rc = main(
+        ["shapley", "--method", "iusv", *inputs, "--reference", str(reference),
+         "--out", str(tmp_path / "r.json")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: reference {reference} allocates to 4 owners, but the run has 5\n"
+    )

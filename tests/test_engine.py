@@ -19,6 +19,7 @@ from assemblage_shapley import (
     SynthesisSet,
     Union,
     evaluate_plan,
+    iusv_all,
     minimalize,
     plan_from_json,
     plan_to_json,
@@ -30,7 +31,13 @@ from assemblage_shapley.engine import (
     coalition_to_dict,
 )
 
-from helpers import example_counter_tables, example_mapping_tables, random_mini_dataset
+from helpers import (
+    example_counter_tables,
+    example_mapping_tables,
+    random_mini_dataset,
+    random_owned_tables,
+    random_plan,
+)
 
 
 def osets(width, *index_groups):
@@ -360,10 +367,33 @@ def test_row_arity_validation():
 
 
 def test_row_dedupe_keeps_first_seen_order():
+    # an owner table keeps its rows as given; only a source table dedupes
     t = OwnedTable("a", 0, ["x"], [[2], (1,), [2]])
-    assert (t.schema, t.rows) == (("x",), ((2,), (1,)))
+    assert (t.schema, t.rows) == (("x",), ((2,), (1,), (2,)))
     s = SourceTable("a", ["x"], [[2], (1,), [2]])
     assert (s.schema, s.rows) == (("x",), ((2,), (1,)))
+
+
+def test_an_owners_repeated_rows_give_what_deduplicated_tables_give():
+    # the scan alone collapses a row an owner lists twice, in one table or two
+    for seed in range(40):
+        rng = Random(seed)
+        tables = random_owned_tables(rng)
+        plan = random_plan(rng)
+        deduped = [
+            OwnedTable(t.table, t.owner, t.schema, tuple(dict.fromkeys(t.rows))) for t in tables
+        ]
+        listed_twice = [
+            OwnedTable(t.table, t.owner, t.schema, t.rows + t.rows[::-1]) for t in deduped
+        ]
+        two_tables = deduped + [
+            OwnedTable(t.table, t.owner, t.schema, t.rows[::-1]) for t in deduped
+        ]
+        want = evaluate_plan(plan, deduped)
+        for repeated in (listed_twice, two_tables):
+            got = evaluate_plan(plan, repeated)
+            assert coalition_to_dict(got) == coalition_to_dict(want), seed
+            assert iusv_all(got).allocation.shares == iusv_all(want).allocation.shares, seed
 
 
 def test_repeated_attribute_name_rejected():

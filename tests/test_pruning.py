@@ -190,10 +190,12 @@ def test_a_skipped_integer_cell_is_still_checked(tmp_path):
 def test_pruned_rows_keep_their_width_and_parse_the_read_cells(tmp_path):
     manifest = _catalogue_manifest(tmp_path, "1,c1,3/2\n1,c1,1.50\n2, c2 ,7\n")
     (full,), _, _ = load_assignment(manifest)
-    assert full.rows == ((1, "c1", Fraction(3, 2)), (2, "c2", Fraction(7)))
+    assert full.rows == (
+        (1, "c1", Fraction(3, 2)), (1, "c1", Fraction(3, 2)), (2, "c2", Fraction(7))
+    )
     (pruned,), _, _ = load_assignment(manifest, plan=Project(Scan("cat"), ("cls",)))
     assert pruned.schema == _CAT
-    assert pruned.rows == ((None, "c1", None), (None, "c2", None))
+    assert pruned.rows == ((None, "c1", None), (None, "c1", None), (None, "c2", None))
 
 
 @pytest.mark.parametrize(
