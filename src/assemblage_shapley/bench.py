@@ -29,7 +29,7 @@ from .baselines import PRNG_NAME, UtilityEvaluator, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
 from .errors import IngestError, UndefinedMetricError, read_json
-from .model import Allocation
+from .model import Allocation, exact_sum
 from .plans import PlanNode, required_columns
 from .shapley import DEFAULT_GAMMA, CaseStats, iusv_all
 
@@ -247,8 +247,7 @@ def compute_error_rate(exact: Allocation, approx: Allocation) -> Fraction:
     denom = exact.total()
     if denom == 0:
         raise UndefinedMetricError("total exact Shapley value is zero; error rate undefined")
-    num = sum((abs(a - b) for a, b in zip(exact.shares, approx.shares)), Fraction(0))
-    return num / denom
+    return exact_sum(abs(a - b) for a, b in zip(exact.shares, approx.shares)) / denom
 
 
 @dataclass(frozen=True)
@@ -295,14 +294,12 @@ def run_with_timeout(
 
     Returns ``(status, payload, seconds)`` where status is ``ok`` /
     ``timeout`` / ``error``. On success ``seconds`` is measured inside the
-    child around the call, excluding process overhead. A child that dies
-    without sending a result is an ``error`` whose payload names its exit code
-    or signal. ``timeout_s=None`` runs inline with no isolation.
+    child around the call, excluding process overhead. An exception in ``fn``
+    is an ``error`` whose payload names it, and a child that dies without
+    sending a result is an ``error`` whose payload names its exit code or
+    signal. ``timeout_s=None`` sets no time limit; ``fn`` still runs in the
+    forked child.
     """
-    if timeout_s is None:
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        return "ok", result, time.perf_counter() - start
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_timed_child, args=(child_conn, fn, args, kwargs))
@@ -466,7 +463,7 @@ def run_method(
     d = evaluate_plan(plan, tables, utility_fn=utility_fn, n_owners=n_owners)
     assemble_seconds = time.perf_counter() - assemble_start
     if config.method == "iusv":
-        report = _run(config, d, reference, iusv_all, d, config.gamma)
+        report = run_coalition(config, d, reference=reference)
     else:
         ev = UtilityEvaluator(plan, tables, utility_fn=utility_fn, n_owners=d.n_owners)
         if config.method == "trad":
@@ -558,16 +555,23 @@ def reports_to_json(reports: Sequence[RunReport], path: str | Path) -> None:
         json.dump([r.to_dict() for r in reports], fh, indent=1, sort_keys=True)
 
 
-def reports_from_json(path: str | Path) -> list[RunReport]:
-    """The reports :func:`reports_to_json` wrote; a file that is not JSON or
-    not a list of valid reports is an :class:`IngestError` naming it."""
-    data = read_json(path, "report file")
+def _checked_reports(path: str | Path, read: Callable[[], Any]) -> list[RunReport]:
+    """The reports in the list of field dicts that ``read()`` returns; a
+    value that ``read`` cannot parse, or that is not a list of valid reports,
+    is an :class:`IngestError` naming ``path``."""
     try:
+        data = read()
         if not isinstance(data, list):
             raise TypeError(f"expected a list of reports, got {type(data).__name__}")
         return [RunReport.from_dict(d) for d in data]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise IngestError(f"malformed report file: {exc}", path=str(path)) from None
+
+
+def reports_from_json(path: str | Path) -> list[RunReport]:
+    """The reports :func:`reports_to_json` wrote; a file that is not JSON or
+    not a list of valid reports is an :class:`IngestError` naming it."""
+    return _checked_reports(path, lambda: read_json(path, "report file"))
 
 
 def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
@@ -586,15 +590,21 @@ def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
 
 def reports_from_csv(path: str | Path) -> list[RunReport]:
     """Read the reports :func:`reports_to_csv` wrote; an empty cell is ``""``
-    in a ``str`` field and ``None`` in any other."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            kwargs = {
-                col: None if raw == "" and col not in _TEXT else _CSV_PARSERS.get(col, str)(raw)
-                for col, raw in row.items()
-            }
-            kwargs["metrics"] = kwargs.get("metrics") or {}
-            kwargs["histogram"] = kwargs.get("histogram") or {}
-            out.append(RunReport(**kwargs))
-    return out
+    in a ``str`` field and ``None`` in any other. A cell that does not parse,
+    or a report that is not valid, is an :class:`IngestError` naming the file,
+    as in :func:`reports_from_json`."""
+
+    def read() -> list[dict]:
+        rows = []
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                fields = {
+                    col: None if raw == "" and col not in _TEXT else _CSV_PARSERS.get(col, str)(raw)
+                    for col, raw in row.items()
+                }
+                fields["metrics"] = fields.get("metrics") or {}
+                fields["histogram"] = fields.get("histogram") or {}
+                rows.append(fields)
+        return rows
+
+    return _checked_reports(path, read)

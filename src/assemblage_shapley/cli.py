@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except AssemblageError as exc:
+    except (AssemblageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

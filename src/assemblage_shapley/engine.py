@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import IngestError, PlanError, SynthesisLimitError, read_json
-from .model import DEFAULT_MAX_OWNERS, OwnerSet, as_utility, bit_indices
+from .model import DEFAULT_MAX_OWNERS, OwnerSet, as_utility, bit_indices, exact_sum
 from .plans import (
     EquiJoin, Layout, NaturalJoin, PlanNode, Project, Scan, Union, children, plan_layout,
 )
@@ -202,7 +202,7 @@ class CoalitionSet:
         return iter(self.tuples)
 
     def total_utility(self) -> Fraction:
-        return sum((t.utility for t in self.tuples), Fraction(0))
+        return exact_sum(t.utility for t in self.tuples)
 
 
 def _catalog(tables: Sequence[OwnedTable]) -> dict[str, tuple[str, ...]]:

@@ -3,13 +3,17 @@
 Owners are dense non-negative integers within one scenario. Sets of owners are
 fixed-width bit vectors so that union/intersection/subset tests are exact
 integer operations. All revenue arithmetic uses ``fractions.Fraction``; floats
-only appear at the reporting boundary.
+only appear at the reporting boundary. Every exact total is summed one way:
+integer numerators keyed by denominator (:func:`exact_sum`), made into one
+``Fraction`` at the end (:func:`sum_parts`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import UniverseMismatchError
@@ -27,6 +31,23 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def sum_parts(parts: Mapping[int, int]) -> Fraction:
+    """The exact sum of ``numerator / denominator`` over ``parts``, which maps
+    denominators to numerators, as one ``Fraction`` over the denominators'
+    least common multiple; ``0`` when ``parts`` is empty."""
+    den = lcm(*parts)
+    return Fraction(sum(n * (den // d) for d, n in parts.items()), den)
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of ``values``: their numerators are added as integers per
+    denominator, and :func:`sum_parts` builds one ``Fraction``."""
+    parts: defaultdict[int, int] = defaultdict(int)
+    for v in values:
+        parts[v.denominator] += v.numerator
+    return sum_parts(parts)
 
 
 def as_utility(value: int | str | Fraction | float) -> Fraction:
@@ -186,7 +207,7 @@ class Allocation:
         return self.shares[owner]
 
     def total(self) -> Fraction:
-        return sum(self.shares, Fraction(0))
+        return exact_sum(self.shares)
 
     def per_owner(self) -> dict[int, Fraction]:
         return dict(enumerate(self.shares))

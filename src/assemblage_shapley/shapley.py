@@ -28,7 +28,8 @@ only by an owner relabelling.
 
 All arithmetic is exact (``Fraction``); binomials are exact integers. The
 driver sums each owner's share as integer numerators keyed by denominator
-and builds one ``Fraction`` per owner at the end.
+and builds one ``Fraction`` per owner at the end, with
+:func:`~assemblage_shapley.model.sum_parts`, as every exact total is built.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Sequence
 
 from .engine import CoalitionSet, SynthesisSet, _minimal_masks
 from .errors import CostLimitError
-from .model import Allocation, OwnerSet, bit_indices
+from .model import Allocation, OwnerSet, bit_indices, sum_parts
 
 logger = logging.getLogger(__name__)
 
@@ -195,7 +196,7 @@ def _union_probability(masks: Sequence[int], max_terms: int) -> Fraction:
                 if counts[b] == 0:
                     card -= 1
         coeff[card] += 1 if size & 1 else -1
-    return sum((Fraction(c, n) for n, c in enumerate(coeff) if c and n), Fraction(0))
+    return sum_parts({n: c for n, c in enumerate(coeff) if c and n})
 
 
 def _sc(w_u: Sequence[int], w_not_u: Sequence[int], max_terms: int) -> Fraction:
@@ -582,7 +583,7 @@ def iusv_all(
             owner_parts = parts[owner]
             for ud, un in group.utility_sums.items():
                 owner_parts[ud * vd] += un * vn
-    shares = tuple(_sum_parts(p) for p in parts)
+    shares = tuple(sum_parts(p) for p in parts)
     # each general shape's first tuple is a miss, every later one a hit
     misses = sum(shape_stats.general for _, shape_stats in cache.values())
     hits = stats.general - misses
@@ -606,9 +607,3 @@ def iusv_all(
         shape_cache_misses=misses,
     )
 
-
-def _sum_parts(parts: dict[int, int]) -> Fraction:
-    """The exact sum of ``numerator / denominator`` over ``parts``, as one
-    ``Fraction`` over the denominators' least common multiple."""
-    den = lcm(*parts)
-    return Fraction(sum(n * (den // d) for d, n in parts.items()), den)

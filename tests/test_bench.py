@@ -170,6 +170,13 @@ def test_error_rate_direct_formula():
     assert compute_error_rate(exact, approx) == F(1, 2)
 
 
+def test_error_rate_over_mixed_denominators_is_pinned():
+    exact = Allocation(shares=(F(1, 3), F(1, 6), F(1, 2)))
+    approx = Allocation(shares=(F(1, 4), F(1, 5), F(11, 20)))
+    # (1/12 + 1/30 + 1/20) / 1
+    assert compute_error_rate(exact, approx) == F(1, 6)
+
+
 def test_error_rate_undefined_for_zero_total():
     zero = Allocation(shares=(F(0), F(0)))
     other = Allocation(shares=(F(0), F(0)))
@@ -246,9 +253,10 @@ def test_run_with_timeout_reports_child_death():
     assert run_with_timeout(_sigkill_self, 5.0) == ("error", "killed by signal 9", None)
 
 
-def test_run_with_timeout_inline_mode():
-    status, payload, elapsed = run_with_timeout(_quick, None)
-    assert (status, payload) == ("ok", 42)
+def test_run_with_timeout_without_a_limit_still_runs_in_a_child():
+    status, payload, elapsed = run_with_timeout(os.getpid, None)
+    assert status == "ok" and payload != os.getpid() and elapsed is not None
+    assert run_with_timeout(_boom, None) == ("error", "RuntimeError: kaput", None)
 
 
 # --- run_method / run_benchmark -----------------------------------------------------------
@@ -402,6 +410,25 @@ def test_reports_csv_bytes_are_pinned(tmp_path):
     again = tmp_path / "again.csv"
     reports_to_csv(reports_from_csv(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"allocation_exact": ["x", "-1"]},
+        {"allocation_exact": ["1/0"]},
+        {"allocation_exact": [1, 2]},
+        {"samples": "many"},
+    ],
+    ids=["share-x", "zero-denominator", "int-shares", "samples-text"],
+)
+def test_reports_from_csv_checks_reports_like_json(tmp_path, bad):
+    report = replace(_golden_reports()[0], **bad)
+    path = tmp_path / "reports.csv"
+    reports_to_csv([report], path)
+    with pytest.raises(IngestError, match=r"^malformed report file: ") as exc_info:
+        reports_from_csv(path)
+    assert exc_info.value.path == str(path)
 
 
 def test_reports_json_roundtrip(tmp_path):

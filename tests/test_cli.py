@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,7 +16,8 @@ from assemblage_shapley.engine import dump_coalition
 
 from helpers import example_counter_tables
 
-DATA = Path(__file__).resolve().parent.parent / "data" / "mini-world"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data" / "mini-world"
 
 
 def _gen(tmp_path, k=2, seed=3):
@@ -509,6 +513,36 @@ def test_gen_reports_a_malformed_scenario_cleanly(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "case", ["gen-csv", "manifest", "owner-csv", "coalition", "reference", "matrix"]
+)
+def test_cli_reports_a_missing_input_file_cleanly(tmp_path, capsys, case):
+    outdir = _gen(tmp_path)
+    capsys.readouterr()
+    manifest, plan = str(outdir / "manifest.json"), str(DATA / "plan.json")
+    missing = tmp_path / "missing.json"
+    out = ["--out", str(tmp_path / "out.json")]
+    if case == "gen-csv":
+        missing = tmp_path / "missing.csv"
+        argv = ["gen", str(DATA / "items.csv"), str(missing), "--out", str(tmp_path / "o")]
+    elif case == "manifest":
+        argv = ["assemble", "--manifest", str(missing), "--plan", plan, *out]
+    elif case == "owner-csv":
+        missing = outdir / "orders__owner0002.csv"
+        missing.unlink()
+        argv = ["assemble", "--manifest", manifest, "--plan", plan, *out]
+    elif case == "coalition":
+        argv = ["shapley", "--method", "iusv", "--coalition", str(missing), *out]
+    elif case == "reference":
+        argv = ["shapley", "--method", "iusv", "--manifest", manifest, "--plan", plan,
+                "--reference", str(missing), *out]
+    else:
+        argv = ["bench", "--matrix", str(missing), *out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "scenario",
     [{"nope": 1}, [1], {"k": 0}, {"k": "five"}, "EO"],
     ids=["unknown-field", "array", "bad-k", "k-text", "text"],
@@ -618,3 +652,18 @@ def test_shapley_refuses_a_reference_over_another_owner_count_before_the_run(
     assert capsys.readouterr().err == (
         f"error: reference {reference} allocates to 4 owners, but the run has 5\n"
     )
+
+
+def test_quickstart_script_passes(tmp_path):
+    """scripts/quickstart.sh, as CI runs it on the console script, here through
+    ``python -m`` with this interpreter first on ``PATH`` for its checks."""
+    env = dict(os.environ)
+    env["PATH"] = os.pathsep.join([str(Path(sys.executable).parent), env.get("PATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        ["bash", str(ROOT / "scripts" / "quickstart.sh"),
+         f"{sys.executable} -m assemblage_shapley.cli", str(tmp_path / "quickstart")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("quickstart: all checks passed\n")

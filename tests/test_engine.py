@@ -231,6 +231,13 @@ def test_utility_fn_applied_and_validated():
         evaluate_plan(Scan("t"), [t], utility_fn=lambda row: Fraction(-1))
 
 
+def test_total_utility_is_the_exact_sum_over_mixed_denominators():
+    t = OwnedTable("t", 0, ("x",), tuple((x,) for x in range(1, 41)))
+    d = evaluate_plan(Scan("t"), [t], utility_fn=lambda row: Fraction(row[0] % 7, row[0] % 9 + 1))
+    assert len({tup.utility.denominator for tup in d}) > 5
+    assert d.total_utility() == sum((tup.utility for tup in d), Fraction(0))
+
+
 # --- plan validation errors ------------------------------------------------------
 
 def test_unknown_table_rejected():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from assemblage_shapley import Allocation, OwnerSet, UniverseMismatchError, as_utility
+from assemblage_shapley.model import exact_sum, sum_parts
 
 
 def test_union_and_subset():
@@ -97,6 +98,24 @@ def test_allocation_basics():
     assert alloc.per_owner() == {0: 0, 1: Fraction(2, 3), 2: Fraction(1, 3)}
     assert alloc.as_floats() == [0.0, pytest.approx(2 / 3), pytest.approx(1 / 3)]
     assert Allocation.zeros(2).total() == 0
+    assert Allocation.zeros(0).total() == 0
+
+
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4)),
+        max_size=50,
+    )
+)
+def test_exact_sum_equals_the_fraction_fold(values):
+    total = exact_sum(values)
+    assert type(total) is Fraction
+    assert total == sum(values, Fraction(0))
+
+
+def test_sum_parts_of_nothing_is_zero():
+    assert sum_parts({}) == 0
+    assert sum_parts({3: -2, 6: 5}) == Fraction(1, 6)
 
 
 def test_allocation_rejects_negative_share():
