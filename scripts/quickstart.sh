@@ -11,9 +11,10 @@
 # The checks use `python`, which must import the same package.
 #
 # Each malformed or missing input must print error: and exit 2 with no
-# traceback: a plan with a missing field, a bad cell in a column the plan
-# projects away, a scenario that is not JSON, a manifest whose scenario has
-# an unknown field, a manifest that does not exist, a coalition set over
+# traceback: a plan with a missing field, a plan whose where constant is
+# true, a bad cell in a column the plan projects away, a scenario that is
+# not JSON, a scenario whose max_copies is 1.5, a manifest whose scenario
+# has an unknown field, a manifest that does not exist, a coalition set over
 # more than 4096 owners and a reference report one owner short. Both iusv
 # routes must give the same exact allocation, owner files with a repeated
 # line must assemble to the same bytes, the perm run must report an error
@@ -53,6 +54,10 @@ echo '{"op": "scan"}' > "$out/bad_plan.json"
 expect_error "plan with a missing field" assemble --manifest "$out/owners/manifest.json" \
   --plan "$out/bad_plan.json" --out "$out/bad.json"
 
+echo '{"op": "scan", "table": "items", "where": {"category": true}}' > "$out/bool_plan.json"
+expect_error "plan with a true where constant" assemble \
+  --manifest "$out/owners/manifest.json" --plan "$out/bool_plan.json" --out "$out/bad.json"
+
 # A cell the plan projects away is not parsed but is still checked.
 mkdir -p "$out/bad_price"
 printf 'id,cls,price\n1,c1,3/2\n2,c2,1/0\n' > "$out/bad_price/cat0.csv"
@@ -67,6 +72,10 @@ expect_error "projected-away 1/0" assemble --manifest "$out/bad_price/manifest.j
 echo '{' > "$out/bad_scenario.json"
 expect_error "scenario not JSON" gen "$data/items.csv" --scenario "$out/bad_scenario.json" \
   --out "$out/bad_owners"
+
+echo '{"max_copies": 1.5}' > "$out/float_scenario.json"
+expect_error "scenario with max_copies 1.5" gen "$data/items.csv" \
+  --scenario "$out/float_scenario.json" --out "$out/bad_owners"
 
 python - "$out/owners/manifest.json" "$out/owners/bad_manifest.json" <<'EOF'
 import json, sys

@@ -28,7 +28,7 @@ from typing import Any, Callable, Collection, Mapping, Sequence, get_args, get_t
 from .baselines import PRNG_NAME, UtilityEvaluator, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
-from .errors import IngestError, UndefinedMetricError, read_json
+from .errors import IngestError, UndefinedMetricError, decoded, read_json
 from .model import Allocation, exact_sum
 from .plans import PlanNode, required_columns
 from .shapley import DEFAULT_GAMMA, CaseStats, iusv_all
@@ -197,7 +197,9 @@ def load_assignment(
     _check_manifest(manifest, manifest_path)
     scenario = None
     if manifest.get("scenario"):
-        scenario = AssignmentScenario._checked(manifest["scenario"], manifest_path)
+        scenario = decoded(
+            manifest_path, "scenario", AssignmentScenario.from_dict, manifest["scenario"]
+        )
     reads = None
     if plan is not None:
         catalog = {name: tuple(entry["schema"]) for name, entry in manifest["tables"].items()}
@@ -330,6 +332,8 @@ def run_with_timeout(
 # --- run configuration and reports ------------------------------------------------
 
 METHODS = ("trad", "perm", "iusv")
+#: How a run ended, as :func:`run_with_timeout` reports it.
+STATUSES = ("ok", "timeout", "error")
 
 
 @dataclass(frozen=True)
@@ -394,8 +398,19 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunReport":
-        report = cls(**dict(data))
-        report.exact_allocation()  # raises on a malformed allocation_exact
+        """The report :meth:`to_dict` wrote as ``data``; a ``status`` not in
+        ``STATUSES``, a ``metrics`` or ``histogram`` that is not an object of
+        numbers, or a malformed ``allocation_exact`` raises."""
+        report = cls(**data)
+        if report.status not in STATUSES:
+            raise ValueError(f"status must be one of {STATUSES}, got {report.status!r}")
+        for name in ("metrics", "histogram"):
+            value = getattr(report, name)
+            if not isinstance(value, dict) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in value.values()
+            ):
+                raise TypeError(f"{name} must be an object of numbers, got {value!r}")
+        report.exact_allocation()
         return report
 
     def without_runtimes(self) -> "RunReport":
@@ -455,17 +470,16 @@ def run_method(
     tables: Sequence[OwnedTable],
     *,
     n_owners: int | None = None,
-    utility_fn=None,
     reference: Allocation | None = None,
 ) -> RunReport:
     """Execute one configured method and report allocation, runtime, metrics."""
     assemble_start = time.perf_counter()
-    d = evaluate_plan(plan, tables, utility_fn=utility_fn, n_owners=n_owners)
+    d = evaluate_plan(plan, tables, n_owners=n_owners)
     assemble_seconds = time.perf_counter() - assemble_start
     if config.method == "iusv":
         report = run_coalition(config, d, reference=reference)
     else:
-        ev = UtilityEvaluator(plan, tables, utility_fn=utility_fn, n_owners=d.n_owners)
+        ev = UtilityEvaluator(plan, tables, n_owners=d.n_owners)
         if config.method == "trad":
             report = _run(config, d, reference, trad_shapley, ev)
         else:
@@ -492,9 +506,6 @@ def run_coalition(
 def run_cell(
     knobs: Mapping[str, Any],
     load: Callable[[], tuple[PlanNode, Sequence[OwnedTable], int | None]],
-    *,
-    utility_fn=None,
-    reference: Allocation | None = None,
 ) -> RunReport:
     """Run one benchmark cell; whatever goes wrong is that cell's report.
 
@@ -506,31 +517,9 @@ def run_cell(
     try:
         config = RunConfig(**knobs)
         plan, tables, n_owners = load()
-        return run_method(
-            config, plan, tables, n_owners=n_owners, utility_fn=utility_fn, reference=reference
-        )
+        return run_method(config, plan, tables, n_owners=n_owners)
     except Exception as exc:  # noqa: BLE001 - matrix isolation
         return RunReport(status="error", error=f"{type(exc).__name__}: {exc}", **knobs)
-
-
-def run_benchmark(
-    cells: Sequence[tuple[RunConfig, PlanNode, Sequence[OwnedTable]]],
-    *,
-    n_owners: int | None = None,
-    utility_fn=None,
-    reference: Allocation | None = None,
-) -> list[RunReport]:
-    """Run a matrix of configured cells one after another, so runtime
-    measurements are clean; failures are isolated per cell."""
-    return [
-        run_cell(
-            asdict(config),
-            lambda plan=plan, tables=tables: (plan, tables, n_owners),
-            utility_fn=utility_fn,
-            reference=reference,
-        )
-        for config, plan, tables in cells
-    ]
 
 
 # --- report serialization -----------------------------------------------------------
@@ -555,23 +544,17 @@ def reports_to_json(reports: Sequence[RunReport], path: str | Path) -> None:
         json.dump([r.to_dict() for r in reports], fh, indent=1, sort_keys=True)
 
 
-def _checked_reports(path: str | Path, read: Callable[[], Any]) -> list[RunReport]:
-    """The reports in the list of field dicts that ``read()`` returns; a
-    value that ``read`` cannot parse, or that is not a list of valid reports,
-    is an :class:`IngestError` naming ``path``."""
-    try:
-        data = read()
-        if not isinstance(data, list):
-            raise TypeError(f"expected a list of reports, got {type(data).__name__}")
-        return [RunReport.from_dict(d) for d in data]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise IngestError(f"malformed report file: {exc}", path=str(path)) from None
-
-
 def reports_from_json(path: str | Path) -> list[RunReport]:
     """The reports :func:`reports_to_json` wrote; a file that is not JSON or
     not a list of valid reports is an :class:`IngestError` naming it."""
-    return _checked_reports(path, lambda: read_json(path, "report file"))
+    return read_json(path, "report file", _reports)
+
+
+def _reports(data: Any) -> list[RunReport]:
+    """The reports in ``data``, which must be a list of their field dicts."""
+    if not isinstance(data, list):
+        raise TypeError(f"expected a list of reports, got {type(data).__name__}")
+    return [RunReport.from_dict(d) for d in data]
 
 
 def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
@@ -589,22 +572,18 @@ def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
 
 
 def reports_from_csv(path: str | Path) -> list[RunReport]:
-    """Read the reports :func:`reports_to_csv` wrote; an empty cell is ``""``
-    in a ``str`` field and ``None`` in any other. A cell that does not parse,
-    or a report that is not valid, is an :class:`IngestError` naming the file,
-    as in :func:`reports_from_json`."""
+    """Read the reports :func:`reports_to_csv` wrote. A cell that does not
+    parse, or a report that is not valid, is an :class:`IngestError` naming
+    the file, as in :func:`reports_from_json`."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return decoded(path, "report file", lambda: _reports(list(map(_csv_fields, rows))))
 
-    def read() -> list[dict]:
-        rows = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                fields = {
-                    col: None if raw == "" and col not in _TEXT else _CSV_PARSERS.get(col, str)(raw)
-                    for col, raw in row.items()
-                }
-                fields["metrics"] = fields.get("metrics") or {}
-                fields["histogram"] = fields.get("histogram") or {}
-                rows.append(fields)
-        return rows
 
-    return _checked_reports(path, read)
+def _csv_fields(row: Mapping[str, str]) -> dict:
+    """The report fields in one CSV row, each cell parsed as its field's type;
+    an empty cell is ``""`` in a ``str`` field and ``None`` in any other."""
+    return {
+        col: None if raw == "" and col not in _TEXT else _CSV_PARSERS.get(col, str)(raw)
+        for col, raw in row.items()
+    }

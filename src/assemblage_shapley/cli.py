@@ -68,7 +68,11 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 def _scenario_from_args(args) -> AssignmentScenario:
     if args.scenario:
         return AssignmentScenario.load(args.scenario)
-    return AssignmentScenario(**{f.name: getattr(args, f.name) for f in fields(AssignmentScenario)})
+    knobs = {f.name: getattr(args, f.name) for f in fields(AssignmentScenario)}
+    try:
+        return AssignmentScenario(**knobs)
+    except ValueError as exc:
+        raise AssemblageError(f"invalid scenario flags: {exc}") from None
 
 
 def _cmd_gen(args) -> int:

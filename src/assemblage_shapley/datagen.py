@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from random import Random
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .engine import OwnedTable, SourceTable
-from .errors import IngestError, read_json
+from .errors import read_json
 from .model import DEFAULT_MAX_OWNERS
 
 OWNER_MODES = ("EO", "UO")
 ASSIGN_MODES = ("EA", "UA")
+
+#: The values a scenario field of each annotated type accepts; never a ``bool``.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,10 @@ class AssignmentScenario:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         if self.owner_mode not in OWNER_MODES:
             raise ValueError(f"owner_mode must be one of {OWNER_MODES}, got {self.owner_mode!r}")
         if self.assign_mode not in ASSIGN_MODES:
@@ -61,25 +68,13 @@ class AssignmentScenario:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AssignmentScenario":
-        return cls(**dict(data))
+        return cls(**data)
 
     @classmethod
     def load(cls, path) -> "AssignmentScenario":
         """The scenario in the JSON file ``path``; a file that is not JSON or
         not a valid scenario is an :class:`IngestError` naming it."""
-        return cls._checked(read_json(path, "scenario"), path)
-
-    @classmethod
-    def _checked(cls, data: Any, path) -> "AssignmentScenario":
-        """The scenario in the JSON value ``data`` read from the file ``path``;
-        a value that is not a valid scenario is an :class:`IngestError`
-        naming the file."""
-        try:
-            if not isinstance(data, dict):
-                raise TypeError(f"expected an object, got {type(data).__name__}")
-            return cls.from_dict(data)
-        except (TypeError, ValueError) as exc:
-            raise IngestError(f"malformed scenario: {exc}", path=str(path)) from None
+        return read_json(path, "scenario", cls.from_dict)
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -26,8 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import IngestError, PlanError, SynthesisLimitError, read_json
-from .model import DEFAULT_MAX_OWNERS, OwnerSet, as_utility, bit_indices, exact_sum
+from .errors import PlanError, SynthesisLimitError, read_json
+from .model import (
+    DEFAULT_MAX_OWNERS, OwnerSet, as_utility, bit_indices, exact_sum, value_from_json,
+    value_to_json,
+)
 from .plans import (
     EquiJoin, Layout, NaturalJoin, PlanNode, Project, Scan, Union, children, plan_layout,
 )
@@ -364,31 +367,13 @@ def restrict_tables(tables: Sequence[OwnedTable], owners: OwnerSet) -> list[Owne
 
 # --- coalition set wire format ----------------------------------------------
 
-def _cell_to_json(v: Any) -> Any:
-    if isinstance(v, bool):
-        raise ValueError("boolean cells are not supported")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        return v
-    if isinstance(v, Fraction):
-        return {"fraction": f"{v.numerator}/{v.denominator}"}
-    raise ValueError(f"unsupported cell type {type(v).__name__}")
-
-
-def _cell_from_json(v: Any) -> Any:
-    if isinstance(v, dict):
-        return Fraction(v["fraction"])
-    return v
-
-
 def coalition_to_dict(d: CoalitionSet) -> dict:
     return {
         "schema": list(d.schema),
         "n_owners": d.n_owners,
         "tuples": [
             {
-                "values": [_cell_to_json(v) for v in t.values],
+                "values": [value_to_json(v) for v in t.values],
                 "utility": f"{t.utility.numerator}/{t.utility.denominator}",
                 "syntheses": [list(bit_indices(m)) for m in t.syntheses.masks()],
             }
@@ -411,7 +396,7 @@ def coalition_from_dict(data: Mapping[str, Any]) -> CoalitionSet:
         )
         tuples.append(
             CoalitionTuple(
-                values=tuple(_cell_from_json(v) for v in item["values"]),
+                values=tuple(value_from_json(v) for v in item["values"]),
                 utility=as_utility(item["utility"]),
                 syntheses=syntheses,
             )
@@ -426,9 +411,6 @@ def dump_coalition(d: CoalitionSet, path) -> None:
 
 def load_coalition(path) -> CoalitionSet:
     """The coalition set in the JSON file ``path``; a file that is not JSON or
-    not a coalition set is an :class:`IngestError` naming it."""
-    data = read_json(path, "coalition set")
-    try:
-        return coalition_from_dict(data)
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise IngestError(f"malformed coalition set: {exc!r}", path=str(path)) from None
+    not a coalition set, a cell that is not an exact value included, is an
+    :class:`IngestError` naming it."""
+    return read_json(path, "coalition set", coalition_from_dict)

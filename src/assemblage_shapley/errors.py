@@ -1,8 +1,8 @@
-"""Exception types shared across the package, and the JSON file reader
-that reports malformed input with them."""
+"""Exception types shared across the package, and the one boundary that
+turns a malformed input file into an :class:`IngestError` naming it."""
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 
 class AssemblageError(Exception):
@@ -48,11 +48,29 @@ class UndefinedMetricError(AssemblageError):
     """A metric's denominator is zero, so the metric is undefined."""
 
 
-def read_json(path, what: str) -> Any:
-    """The JSON value in the file ``path``; text that is not JSON raises an
+#: What a decoder raises on a value of the wrong shape: a missing key, a
+#: wrong type, a bad literal, a missing attribute or a zero denominator.
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError)
+
+
+def decoded(path, what: str, fn: Callable, *args) -> Any:
+    """``fn(*args)``, the decoding of the file ``path``; a :data:`MALFORMED`
+    exception from it is an :class:`IngestError` that calls the file ``what``
+    and names it."""
+    try:
+        return fn(*args)
+    except MALFORMED as exc:
+        message = f"malformed {what}: {type(exc).__name__}: {exc}"
+        raise IngestError(message, path=str(path)) from None
+
+
+def read_json(path, what: str, decode: Callable[[Any], Any] | None = None) -> Any:
+    """The JSON value in the file ``path``, passed through ``decode`` if given.
+    Text that is not JSON, or a value ``decode`` finds malformed, raises an
     :class:`IngestError` that calls the file ``what`` and names it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise IngestError(f"{what} is not JSON: {exc}", path=str(path)) from None
+    return data if decode is None else decoded(path, what, decode, data)

@@ -64,6 +64,30 @@ def as_utility(value: int | str | Fraction | float) -> Fraction:
     return out
 
 
+def value_to_json(value: int | str | Fraction) -> int | str | dict:
+    """The JSON form of an exact value (a plan constant or a coalition cell):
+    an ``int`` or ``str`` as itself, a ``Fraction`` as ``{"fraction": "p/q"}``.
+    Any other value, a ``bool`` included, raises ``TypeError``."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, Fraction):
+        return {"fraction": f"{value.numerator}/{value.denominator}"}
+    raise TypeError(f"cannot write {value!r} as an exact value")
+
+
+def value_from_json(data) -> int | str | Fraction:
+    """The exact value :func:`value_to_json` wrote as ``data``, or a JSON float
+    read through its decimal string, so ``0.1`` is ``1/10``. Any other JSON
+    value (a ``bool``, ``null``, a list, another object) raises ``TypeError``."""
+    if isinstance(data, (int, str)) and not isinstance(data, bool):
+        return data
+    if isinstance(data, float):
+        return Fraction(str(data))
+    if isinstance(data, dict) and set(data) == {"fraction"} and isinstance(data["fraction"], str):
+        return Fraction(data["fraction"])
+    raise TypeError(f"{data!r} is not an exact value")
+
+
 class OwnerSet:
     """An immutable set of owner indices over a fixed-width universe.
 

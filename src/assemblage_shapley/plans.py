@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Mapping
 
-from .errors import PlanError, read_json
+from .errors import MALFORMED, PlanError, read_json
+from .model import value_from_json, value_to_json
 
 
 class PlanNode:
@@ -225,25 +225,11 @@ def required_columns(
 
 # --- JSON wire format -------------------------------------------------------
 
-def _value_to_json(v: Any) -> Any:
-    if isinstance(v, Fraction):
-        return {"fraction": f"{v.numerator}/{v.denominator}"}
-    return v
-
-
-def _value_from_json(v: Any) -> Any:
-    if isinstance(v, dict) and set(v) == {"fraction"}:
-        return Fraction(v["fraction"])
-    if isinstance(v, float):
-        return Fraction(str(v))
-    return v
-
-
 def plan_to_dict(node: PlanNode) -> dict:
     if isinstance(node, Scan):
         out: dict[str, Any] = {"op": "scan", "table": node.table}
         if node.where:
-            out["where"] = {attr: _value_to_json(v) for attr, v in node.where}
+            out["where"] = {attr: value_to_json(v) for attr, v in node.where}
         return out
     if isinstance(node, Project):
         out = {"op": "project", "columns": list(node.columns), "input": plan_to_dict(node.child)}
@@ -270,20 +256,21 @@ def plan_to_dict(node: PlanNode) -> dict:
 
 def plan_from_dict(data: Mapping[str, Any]) -> PlanNode:
     """The plan tree ``data`` describes; a node that lacks a field or holds a
-    field of the wrong shape is a :class:`PlanError`."""
+    field of the wrong shape, a ``where`` constant included, is a
+    :class:`PlanError`."""
     try:
         op = data["op"]
     except (TypeError, KeyError):
         raise PlanError(f"plan node must be an object with an 'op' field, got {data!r}") from None
     try:
         return _node_from_dict(op, data)
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except MALFORMED as exc:
         raise PlanError(f"malformed {op!r} plan node: {exc!r}") from None
 
 
 def _node_from_dict(op: Any, data: Mapping[str, Any]) -> PlanNode:
     if op == "scan":
-        where = tuple(sorted((a, _value_from_json(v)) for a, v in data.get("where", {}).items()))
+        where = tuple(sorted((a, value_from_json(v)) for a, v in data.get("where", {}).items()))
         return Scan(table=data["table"], where=where)
     if op == "project":
         rename = data.get("rename")

@@ -101,10 +101,7 @@ def shapley_single_owner_only(s: SynthesisSet, utility: Fraction) -> dict[int, F
     The first of the ``m`` holders to appear in a random owner ordering
     contributes the tuple, so each holder gets ``utility / m``.
     """
-    case = classify_tuple(s)
-    if not isinstance(case, SingleOwnerOnly):
-        raise ValueError(f"tuple is not single-owner-only: {case}")
-    return iusv_tuple(s, utility)
+    return _closed_form(s, utility, SingleOwnerOnly, "tuple is not single-owner-only")
 
 
 def shapley_unique_multi(s: SynthesisSet, utility: Fraction) -> dict[int, Fraction]:
@@ -115,9 +112,17 @@ def shapley_unique_multi(s: SynthesisSet, utility: Fraction) -> dict[int, Fracti
     both the subset size and count; balance and symmetry give the singles'
     share.
     """
+    return _closed_form(s, utility, UniqueMultiOwner, "tuple has no unique multi-owner synthesis")
+
+
+def _closed_form(
+    s: SynthesisSet, utility: Fraction, case_type: type, refusal: str
+) -> dict[int, Fraction]:
+    """The per-owner values of a tuple of ``case_type``; any other tuple is a
+    ``ValueError`` that starts with ``refusal``."""
     case = classify_tuple(s)
-    if not isinstance(case, UniqueMultiOwner):
-        raise ValueError(f"tuple has no unique multi-owner synthesis: {case}")
+    if not isinstance(case, case_type):
+        raise ValueError(f"{refusal}: {case}")
     return iusv_tuple(s, utility)
 
 

@@ -2,7 +2,7 @@ import json
 import os
 import signal
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +16,7 @@ from assemblage_shapley import (
     OwnedTable,
     OwnerSet,
     RunConfig,
+    RunReport,
     Scan,
     UndefinedMetricError,
     compute_case_rates,
@@ -25,7 +26,6 @@ from assemblage_shapley import (
     load_assignment,
     minimalize,
     plan_to_json,
-    run_benchmark,
     run_coalition,
     run_method,
     run_with_timeout,
@@ -33,7 +33,9 @@ from assemblage_shapley import (
 )
 from assemblage_shapley.cli import main
 from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
-from assemblage_shapley.bench import reports_from_csv, reports_from_json, reports_to_csv, reports_to_json
+from assemblage_shapley.bench import (
+    reports_from_csv, reports_from_json, reports_to_csv, reports_to_json, run_cell,
+)
 
 from helpers import example_counter_tables
 
@@ -259,7 +261,7 @@ def test_run_with_timeout_without_a_limit_still_runs_in_a_child():
     assert run_with_timeout(_boom, None) == ("error", "RuntimeError: kaput", None)
 
 
-# --- run_method / run_benchmark -----------------------------------------------------------
+# --- run_method / run_cell ----------------------------------------------------------------
 
 def test_run_method_iusv_report_fields():
     plan, tables = example_counter_tables()
@@ -320,7 +322,7 @@ def test_run_method_error_status_from_child():
     assert "cap" in report.error
 
 
-def test_run_benchmark_isolates_failing_cells():
+def test_run_cell_isolates_failing_cells():
     plan, tables = example_counter_tables()
     wide = [OwnedTable("t", o, ("x",), ((o,),)) for o in range(21)]
     cells = [
@@ -328,7 +330,10 @@ def test_run_benchmark_isolates_failing_cells():
         (RunConfig(method="trad", label="bad", timeout_s=5.0), Scan("t"), wide),
         (RunConfig(method="perm", label="also-good", samples=4), plan, tables),
     ]
-    reports = run_benchmark(cells)
+    reports = [
+        run_cell(asdict(config), lambda plan=plan, tables=tables: (plan, tables, None))
+        for config, plan, tables in cells
+    ]
     assert [r.status for r in reports] == ["ok", "error", "ok"]
     assert [r.label for r in reports] == ["good", "bad", "also-good"]
 
@@ -428,6 +433,28 @@ def test_reports_from_csv_checks_reports_like_json(tmp_path, bad):
     reports_to_csv([report], path)
     with pytest.raises(IngestError, match=r"^malformed report file: ") as exc_info:
         reports_from_csv(path)
+    assert exc_info.value.path == str(path)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"status": "done"},
+        {"metrics": "{"},
+        {"metrics": {"error_rate": "0.5"}},
+        {"histogram": {"general": True}},
+        {"histogram": None},
+    ],
+    ids=["status-text", "metrics-text", "metric-text", "histogram-bool", "histogram-null"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_files_check_status_metrics_and_histogram(tmp_path, bad, fmt):
+    write, read = {"csv": (reports_to_csv, reports_from_csv),
+                   "json": (reports_to_json, reports_from_json)}[fmt]
+    path = tmp_path / f"reports.{fmt}"
+    write([RunReport.for_config(RunConfig(method="iusv"), **bad)], path)
+    with pytest.raises(IngestError, match=r"^malformed report file: ") as exc_info:
+        read(path)
     assert exc_info.value.path == str(path)
 
 

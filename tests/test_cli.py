@@ -498,8 +498,10 @@ def test_cli_reports_malformed_json_inputs_cleanly(tmp_path, capsys, flag, text)
 
 @pytest.mark.parametrize(
     "text",
-    ["{", '{"nope": 1}', "[]", '{"k": 0}', '{"k": "five"}'],
-    ids=["not-json", "unknown-field", "array", "bad-k", "k-text"],
+    ["{", '{"nope": 1}', "[]", '{"k": 0}', '{"k": "five"}', '{"max_copies": 1.5}',
+     '{"small_table_threshold": "5"}', '{"k": true}', '{"alpha": true}'],
+    ids=["not-json", "unknown-field", "array", "bad-k", "k-text", "m-float", "threshold-text",
+         "k-bool", "alpha-bool"],
 )
 def test_gen_reports_a_malformed_scenario_cleanly(tmp_path, capsys, text):
     path = tmp_path / "scenario.json"
@@ -509,6 +511,14 @@ def test_gen_reports_a_malformed_scenario_cleanly(tmp_path, capsys, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{path}]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--k", "0"], ["--alpha", "-1"], ["--m", "0"]])
+def test_gen_reports_invalid_scenario_flags_cleanly(tmp_path, capsys, flags):
+    out = tmp_path / "owners"
+    assert main(["gen", str(DATA / "items.csv"), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid scenario flags: ")
     assert not out.exists()
 
 
@@ -544,8 +554,8 @@ def test_cli_reports_a_missing_input_file_cleanly(tmp_path, capsys, case):
 
 @pytest.mark.parametrize(
     "scenario",
-    [{"nope": 1}, [1], {"k": 0}, {"k": "five"}, "EO"],
-    ids=["unknown-field", "array", "bad-k", "k-text", "text"],
+    [{"nope": 1}, [1], {"k": 0}, {"k": "five"}, "EO", {"max_copies": 1.5}, {"k": True}],
+    ids=["unknown-field", "array", "bad-k", "k-text", "text", "m-float", "k-bool"],
 )
 def test_assemble_reports_a_malformed_manifest_scenario_cleanly(tmp_path, capsys, scenario):
     outdir = _gen(tmp_path)

@@ -1,3 +1,4 @@
+import json
 import pickle
 from fractions import Fraction
 from random import Random
@@ -8,6 +9,7 @@ import assemblage_shapley.engine as engine_module
 import assemblage_shapley.plans as plans_module
 from assemblage_shapley import (
     EquiJoin,
+    IngestError,
     NaturalJoin,
     OwnedTable,
     OwnerSet,
@@ -29,6 +31,7 @@ from assemblage_shapley.engine import (
     DEFAULT_MAX_SYNTHESES,
     coalition_from_dict,
     coalition_to_dict,
+    load_coalition,
 )
 
 from helpers import (
@@ -545,3 +548,29 @@ def test_coalition_roundtrip_preserves_fraction_cells():
     d = evaluate_plan(Scan("t"), [t])
     d2 = coalition_from_dict(coalition_to_dict(d))
     assert d2.tuples[0].values == (1, Fraction(3, 2))
+
+
+def test_coalition_cells_read_json_floats_through_their_decimal_string():
+    data = {"schema": ["x"], "n_owners": 1,
+            "tuples": [{"values": [0.1], "utility": "1", "syntheses": [[0]]}]}
+    d = coalition_from_dict(data)
+    assert d.tuples[0].values == (Fraction(1, 10),)
+    assert coalition_to_dict(d)["tuples"][0]["values"] == [{"fraction": "1/10"}]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["true", "false", "null", "[1]", '{"fraction": "1/2", "x": 1}'],
+    ids=["true", "false", "null", "list", "fraction-extra-key"],
+)
+def test_values_outside_the_codec_are_refused_in_plans_and_coalition_sets(tmp_path, text):
+    with pytest.raises(PlanError, match="is not an exact value"):
+        plan_from_json(f'{{"op": "scan", "table": "t", "where": {{"a": {text}}}}}')
+    path = tmp_path / "coalition.json"
+    path.write_text(json.dumps({
+        "schema": ["a"], "n_owners": 1,
+        "tuples": [{"values": [json.loads(text)], "utility": "1", "syntheses": [[0]]}],
+    }))
+    with pytest.raises(IngestError, match="^malformed coalition set: .*is not an exact value") as e:
+        load_coalition(path)
+    assert e.value.path == str(path)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from assemblage_shapley import Allocation, OwnerSet, UniverseMismatchError, as_utility
-from assemblage_shapley.model import exact_sum, sum_parts
+from assemblage_shapley.model import exact_sum, sum_parts, value_from_json, value_to_json
 
 
 def test_union_and_subset():
@@ -121,3 +122,9 @@ def test_sum_parts_of_nothing_is_zero():
 def test_allocation_rejects_negative_share():
     with pytest.raises(ValueError):
         Allocation(shares=(Fraction(-1, 2),))
+
+
+@given(st.one_of(st.integers(), st.text(), st.fractions()))
+def test_exact_values_roundtrip_through_json_text(value):
+    back = value_from_json(json.loads(json.dumps(value_to_json(value))))
+    assert back == value and type(back) is type(value)

@@ -75,7 +75,7 @@ def test_single_owner_five_way_split_matches_permutation_oracle():
 
 
 def test_single_owner_only_precondition_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tuple is not single-owner-only: UniqueMultiOwner"):
         shapley_single_owner_only(mk(3, [0, 1]), F(1))
 
 
@@ -100,7 +100,9 @@ def test_unique_multi_m3_k2_matches_subset_oracle():
 
 
 def test_unique_multi_precondition_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^tuple has no unique multi-owner synthesis: SingleOwnerOnly"
+    ):
         shapley_unique_multi(mk(3, [0], [1]), F(1))
 
 
