@@ -15,7 +15,8 @@
 # true, a bad cell in a column the plan projects away, a scenario that is
 # not JSON, a scenario whose max_copies is 1.5, a manifest whose scenario
 # has an unknown field, a manifest that does not exist, a coalition set over
-# more than 4096 owners and a reference report one owner short. Both iusv
+# more than 4096 owners, a coalition set that is not UTF-8, a shapley
+# --timeout of 0 and a reference report one owner short. Both iusv
 # routes must give the same exact allocation, owner files with a repeated
 # line must assemble to the same bytes, the perm run must report an error
 # rate, and the bench matrix's CSV must read back equal to its JSON, with
@@ -93,6 +94,13 @@ echo '{"schema": ["x"], "n_owners": 4097,
   "tuples": [{"values": [1], "utility": "1", "syntheses": [[0]]}]}' > "$out/wide_coalition.json"
 expect_error "coalition over 4097 owners" shapley --method iusv \
   --coalition "$out/wide_coalition.json" --out "$out/wide.json"
+
+printf '\xff\xfe{}' > "$out/utf16_coalition.json"
+expect_error "coalition set that is not UTF-8" shapley --method iusv \
+  --coalition "$out/utf16_coalition.json" --out "$out/utf16.json"
+
+expect_error "shapley --timeout 0" shapley --method iusv --coalition "$out/coalition.json" \
+  --timeout 0 --out "$out/no_time.json"
 
 "${cli[@]}" shapley --method iusv --manifest "$out/owners/manifest.json" \
   --plan "$data/plan.json" --out "$out/exact.json"

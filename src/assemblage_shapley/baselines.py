@@ -66,24 +66,21 @@ class UtilityEvaluator:
         return value
 
 
-def trad_shapley(
-    ev: UtilityEvaluator,
-    owners: OwnerSet | None = None,
-    *,
-    max_owners: int = DEFAULT_TRAD_MAX_OWNERS,
-) -> Allocation:
+def trad_shapley(ev: UtilityEvaluator, owners: OwnerSet | None = None) -> Allocation:
     """Exact Shapley values by subset enumeration over the whole owner set.
 
     For each owner u this averages the marginal ``evaluate(S + u) -
     evaluate(S)`` over all subsets S of the other owners, weighted by
     ``1 / (n * C(n-1, |S|))``. Exponentially many evaluator calls; refuses
-    more than ``max_owners`` owners.
+    more than ``DEFAULT_TRAD_MAX_OWNERS`` owners.
     """
     if owners is None:
         owners = OwnerSet.full(ev.n_owners)
     n = len(owners)
-    if n > max_owners:
-        raise CostLimitError(f"{n} owners exceeds the exact-baseline cap of {max_owners}")
+    if n > DEFAULT_TRAD_MAX_OWNERS:
+        raise CostLimitError(
+            f"{n} owners exceeds the exact-baseline cap of {DEFAULT_TRAD_MAX_OWNERS}"
+        )
     member_list = list(owners)
     shares = [Fraction(0)] * ev.n_owners
     for u in member_list:
@@ -152,23 +149,21 @@ def perm_shapley(
     return Allocation(shares=tuple(v / count for v in sums))
 
 
-def brute_force_tuple_oracle(
-    s: SynthesisSet,
-    utility: Fraction,
-    *,
-    max_owners: int = DEFAULT_TRAD_MAX_OWNERS,
-) -> dict[int, Fraction]:
+def brute_force_tuple_oracle(s: SynthesisSet, utility: Fraction) -> dict[int, Fraction]:
     """Per-tuple exact Shapley by direct subset enumeration.
 
     The owner universe shrinks to the owners mentioned by the minimal
     syntheses; a subset has the tuple's utility iff it covers some synthesis.
     This is the independent oracle the fast per-tuple routes are tested
-    against.
+    against. More than ``DEFAULT_TRAD_MAX_OWNERS`` synthesis owners raises
+    :class:`CostLimitError`.
     """
     universe = s.owners()
     n = len(universe)
-    if n > max_owners:
-        raise CostLimitError(f"{n} synthesis owners exceeds the oracle cap of {max_owners}")
+    if n > DEFAULT_TRAD_MAX_OWNERS:
+        raise CostLimitError(
+            f"{n} synthesis owners exceeds the oracle cap of {DEFAULT_TRAD_MAX_OWNERS}"
+        )
     members = list(universe)
     pos = {o: i for i, o in enumerate(members)}
     local_masks = []

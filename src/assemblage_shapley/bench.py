@@ -28,7 +28,7 @@ from typing import Any, Callable, Collection, Mapping, Sequence, get_args, get_t
 from .baselines import PRNG_NAME, UtilityEvaluator, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
-from .errors import IngestError, UndefinedMetricError, decoded, read_json
+from .errors import IngestError, UndefinedMetricError, decoded, read_json, utf8_text
 from .model import Allocation, exact_sum
 from .plans import PlanNode, required_columns
 from .shapley import DEFAULT_GAMMA, CaseStats, iusv_all
@@ -99,11 +99,12 @@ def _read_csv(
     only the cells at those positions are parsed; every other cell is checked
     and stored as ``None``. An unknown type, a missing header, a row with the
     wrong number of fields or a bad cell, parsed or checked, raises
-    :class:`IngestError` naming the file and line."""
+    :class:`IngestError` naming the file and line; a file that is not UTF-8
+    raises one naming the file."""
     for attr, kind in types.items():
         if not (isinstance(kind, str) and kind in CELL_PARSERS):
             raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_text(path, "CSV file") as fh:
         reader = csv.reader(fh)
         try:
             header = tuple(h.strip() for h in next(reader))
@@ -218,7 +219,8 @@ def load_assignment(
 
 def _check_manifest(manifest: Any, path: Path) -> None:
     tables = manifest.get("tables") if isinstance(manifest, dict) else None
-    if not (isinstance(tables, dict) and isinstance(manifest.get("n_owners"), int)):
+    # type(...) is int: a JSON true is a bool, which isinstance takes as an int
+    if not (isinstance(tables, dict) and type(manifest.get("n_owners")) is int):
         raise IngestError(
             'manifest needs an integer "n_owners" and a "tables" object', path=str(path)
         )
@@ -572,10 +574,10 @@ def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
 
 
 def reports_from_csv(path: str | Path) -> list[RunReport]:
-    """Read the reports :func:`reports_to_csv` wrote. A cell that does not
-    parse, or a report that is not valid, is an :class:`IngestError` naming
-    the file, as in :func:`reports_from_json`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Read the reports :func:`reports_to_csv` wrote. Text that is not UTF-8,
+    a cell that does not parse, or a report that is not valid, is an
+    :class:`IngestError` naming the file, as in :func:`reports_from_json`."""
+    with utf8_text(path, "report file") as fh:
         rows = list(csv.DictReader(fh))
     return decoded(path, "report file", lambda: _reports(list(map(_csv_fields, rows))))
 

@@ -97,14 +97,17 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_shapley(args) -> int:
-    config = RunConfig(
-        method=args.method,
-        gamma=args.gamma,
-        samples=args.samples,
-        seed=args.seed,
-        timeout_s=args.timeout,
-        label=args.label,
-    )
+    try:
+        config = RunConfig(
+            method=args.method,
+            gamma=args.gamma,
+            samples=args.samples,
+            seed=args.seed,
+            timeout_s=args.timeout,
+            label=args.label,
+        )
+    except ValueError as exc:
+        raise AssemblageError(f"invalid run flags: {exc}") from None
     reference = None
     if args.reference:
         ref_reports = reports_from_json(args.reference)

@@ -189,22 +189,18 @@ class Assignment:
     scenario: AssignmentScenario
 
 
-def generate_assignment(
-    tables: Sequence[SourceTable],
-    scenario: AssignmentScenario,
-    *,
-    max_owners: int = DEFAULT_MAX_OWNERS,
-) -> Assignment:
+def generate_assignment(tables: Sequence[SourceTable], scenario: AssignmentScenario) -> Assignment:
     """Run the full three-step protocol over ``tables``.
 
     Owner ids are dense and contiguous, blocked per table in input order.
     Each table uses an RNG derived from the scenario seed and the table name,
-    so results do not depend on processing order.
+    so results do not depend on processing order. More than
+    ``model.DEFAULT_MAX_OWNERS`` owners in all raises ``ValueError``.
     """
     counts = assign_owner_counts(tables, scenario)
     n_owners = sum(counts.values())
-    if n_owners > max_owners:
-        raise ValueError(f"{n_owners} owners exceeds the configured cap of {max_owners}")
+    if n_owners > DEFAULT_MAX_OWNERS:
+        raise ValueError(f"{n_owners} owners exceeds the configured cap of {DEFAULT_MAX_OWNERS}")
     owned: list[OwnedTable] = []
     owners_by_table: dict[str, tuple[int, ...]] = {}
     next_owner = 0

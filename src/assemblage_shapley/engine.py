@@ -237,14 +237,16 @@ _OPERATOR = {Scan: "scan", Project: "projection", NaturalJoin: "join", EquiJoin:
              Union: "union"}
 
 
-def _cap_error(row: Row, count: int, cap: int, node: PlanNode) -> SynthesisLimitError:
-    """The error for ``row`` with ``count`` > ``cap`` minimal syntheses after ``node``."""
+def _cap_error(row: Row, count: int, node: PlanNode) -> SynthesisLimitError:
+    """The error for ``row`` with ``count`` > ``DEFAULT_MAX_SYNTHESES``
+    minimal syntheses after ``node``."""
     return SynthesisLimitError(
-        f"tuple {row!r} has {count} minimal syntheses (cap {cap}) after {_OPERATOR[type(node)]}"
+        f"tuple {row!r} has {count} minimal syntheses (cap {DEFAULT_MAX_SYNTHESES}) "
+        f"after {_OPERATOR[type(node)]}"
     )
 
 
-def _merged(sources, cap: int, node: PlanNode) -> Relation:
+def _merged(sources, node: PlanNode) -> Relation:
     """One relation of the (row, masks) pairs of ``sources``, minimalizing
     rows that collide; it stores the lists it is given and changes none."""
     dest: Relation = {}
@@ -255,8 +257,8 @@ def _merged(sources, cap: int, node: PlanNode) -> Relation:
                 dest[row] = masks
             else:
                 merged = _minimal_masks(have + masks)
-                if len(merged) > cap:
-                    raise _cap_error(row, len(merged), cap, node)
+                if len(merged) > DEFAULT_MAX_SYNTHESES:
+                    raise _cap_error(row, len(merged), node)
                 dest[row] = merged
     return dest
 
@@ -267,8 +269,6 @@ def evaluate_plan(
     *,
     utility_fn: Callable[[Row], Fraction] | None = None,
     n_owners: int | None = None,
-    max_syntheses: int = DEFAULT_MAX_SYNTHESES,
-    max_owners: int = DEFAULT_MAX_OWNERS,
 ) -> CoalitionSet:
     """Evaluate ``plan`` over owner-held tables, tracking minimal syntheses.
 
@@ -277,15 +277,20 @@ def evaluate_plan(
     ``n_owners`` fixes the owner universe width; by default it is inferred as
     ``max(owner index) + 1`` over all tables, including empty ones, so that
     evaluations of owner-restricted inputs stay in the same universe.
+
+    More than ``model.DEFAULT_MAX_OWNERS`` owners is a :class:`PlanError`,
+    and a tuple with more than ``DEFAULT_MAX_SYNTHESES`` minimal syntheses
+    is a :class:`SynthesisLimitError`.
     """
     if n_owners is None:
         n_owners = infer_n_owners(tables)
-    if n_owners > max_owners:
-        raise PlanError(f"{n_owners} owners exceeds the configured cap of {max_owners}")
+    if n_owners > DEFAULT_MAX_OWNERS:
+        raise PlanError(f"{n_owners} owners exceeds the configured cap of {DEFAULT_MAX_OWNERS}")
     for t in tables:
         if t.owner >= n_owners:
             raise PlanError(f"table {t.table!r} owner {t.owner} outside universe of {n_owners}")
     layout = plan_layout(plan, _catalog(tables))  # type-check the whole tree up front
+    cap = DEFAULT_MAX_SYNTHESES
 
     by_name: dict[str, list[OwnedTable]] = {}
     for t in sorted(tables, key=lambda t: t.owner):
@@ -308,7 +313,7 @@ def evaluate_plan(
         if isinstance(node, Project):
             idx = lay.columns
             projected = ((tuple(row[i] for i in idx), masks) for row, masks in rels[0].items())
-            return _merged([projected], max_syntheses, node)
+            return _merged([projected], node)
 
         if isinstance(node, (NaturalJoin, EquiJoin)):
             lrel, rrel = rels
@@ -326,13 +331,13 @@ def evaluate_plan(
                     # rrow is its key plus its kept columns: rows never collide
                     row = lrow + tuple(rrow[i] for i in rkeep)
                     combined = _minimal_masks(lm | rm for lm in lmasks for rm in rmasks)
-                    if len(combined) > max_syntheses:
-                        raise _cap_error(row, len(combined), max_syntheses, node)
+                    if len(combined) > cap:
+                        raise _cap_error(row, len(combined), node)
                     out[row] = combined
             return out
 
         # a Union: plan_layout rejected every other node type
-        return _merged([rel.items() for rel in rels], max_syntheses, node)
+        return _merged([rel.items() for rel in rels], node)
 
     rel = eval_node(plan, layout)
 
@@ -340,8 +345,8 @@ def evaluate_plan(
     one = Fraction(1)  # the default utility, shared by every row
     for row, masks in rel.items():
         # the only cap check for scan rows and rows no projection merged
-        if len(masks) > max_syntheses:
-            raise _cap_error(row, len(masks), max_syntheses, plan)
+        if len(masks) > cap:
+            raise _cap_error(row, len(masks), plan)
         syntheses = SynthesisSet._trusted(n_owners, tuple(masks))
         rel[row] = None  # free each list as its tuple is built, to lower the peak
         utility = as_utility(utility_fn(row)) if utility_fn is not None else one

@@ -2,7 +2,8 @@
 turns a malformed input file into an :class:`IngestError` naming it."""
 
 import json
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, TextIO
 
 
 class AssemblageError(Exception):
@@ -64,11 +65,25 @@ def decoded(path, what: str, fn: Callable, *args) -> Any:
         raise IngestError(message, path=str(path)) from None
 
 
+@contextmanager
+def utf8_text(path, what: str) -> Iterator[TextIO]:
+    """The file ``path`` open to read as UTF-8 text, newlines untranslated.
+    A byte that is not UTF-8, met while the file is read, raises an
+    :class:`IngestError` that calls the file ``what`` and names it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        message = f"{what} is not UTF-8 text: cannot decode byte {bad:#04x}: {exc.reason}"
+        raise IngestError(message, path=str(path)) from None
+
+
 def read_json(path, what: str, decode: Callable[[Any], Any] | None = None) -> Any:
     """The JSON value in the file ``path``, passed through ``decode`` if given.
-    Text that is not JSON, or a value ``decode`` finds malformed, raises an
-    :class:`IngestError` that calls the file ``what`` and names it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    Text that is not UTF-8 or not JSON, or a value ``decode`` finds malformed,
+    raises an :class:`IngestError` that calls the file ``what`` and names it."""
+    with utf8_text(path, what) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

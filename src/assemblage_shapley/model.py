@@ -54,8 +54,11 @@ def as_utility(value: int | str | Fraction | float) -> Fraction:
     """Coerce ``value`` to an exact non-negative ``Fraction``.
 
     Floats are converted through their decimal string form so that e.g. ``0.1``
-    becomes ``1/10`` rather than the binary approximation.
+    becomes ``1/10`` rather than the binary approximation. A ``bool`` raises
+    ``TypeError``, as in :func:`value_from_json`.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a utility")
     if isinstance(value, float):
         value = str(value)
     out = Fraction(value)

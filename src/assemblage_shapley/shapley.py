@@ -48,6 +48,7 @@ from .model import Allocation, OwnerSet, bit_indices, sum_parts
 
 logger = logging.getLogger(__name__)
 
+# The two caps are read where they are checked, when the check runs.
 #: SC refuses inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_SC_MAX_TERMS = 2**24
 #: SL refuses tuples whose minimal syntheses mention more owners than this.
@@ -151,7 +152,7 @@ class SynthesisSplit:
         return len(self.w_not_u)
 
 
-def _union_probability(masks: Sequence[int], max_terms: int) -> Fraction:
+def _union_probability(masks: Sequence[int]) -> Fraction:
     """Inclusion-exclusion sum over non-empty subsets X of ``masks``:
     ``sum (-1)^(|X|+1) / popcount(union of X)``.
 
@@ -168,9 +169,9 @@ def _union_probability(masks: Sequence[int], max_terms: int) -> Fraction:
     if w == 0:
         return Fraction(0)
     terms = (1 << w) - 1
-    if terms > max_terms:
+    if terms > DEFAULT_SC_MAX_TERMS:
         raise CostLimitError(
-            f"inclusion-exclusion over {w} sets needs {terms} terms (cap {max_terms})"
+            f"inclusion-exclusion over {w} sets needs {terms} terms (cap {DEFAULT_SC_MAX_TERMS})"
         )
     universe = 0
     for m in items:
@@ -204,35 +205,30 @@ def _union_probability(masks: Sequence[int], max_terms: int) -> Fraction:
     return sum_parts({n: c for n, c in enumerate(coeff) if c and n})
 
 
-def _sc(w_u: Sequence[int], w_not_u: Sequence[int], max_terms: int) -> Fraction:
+def _sc(w_u: Sequence[int], w_not_u: Sequence[int]) -> Fraction:
     """SC value at utility 1 of an owner held by the syntheses ``w_u`` and
     missing from ``w_not_u`` (all masks)."""
     if not w_u:
         return Fraction(0)
-    value = _union_probability(w_u, max_terms)
+    value = _union_probability(w_u)
     if w_not_u:
-        value -= _union_probability([a | b for a in w_u for b in w_not_u], max_terms)
+        value -= _union_probability([a | b for a in w_u for b in w_not_u])
     return value
 
 
-def shapley_sc(
-    owner: int,
-    split: SynthesisSplit,
-    utility: Fraction,
-    *,
-    max_terms: int = DEFAULT_SC_MAX_TERMS,
-) -> Fraction:
+def shapley_sc(owner: int, split: SynthesisSplit, utility: Fraction) -> Fraction:
     """Synthesis-combination value of ``owner`` for one tuple.
 
     The positive part sums, by inclusion-exclusion over subsets of the
     syntheses containing the owner, the probability that the owner completes
     one of them; the correction subtracts orderings where a synthesis without
     the owner is already complete, enumerated over pairs from both families.
-    Cost is exponential in ``max(m_u, m_u * m_not_u)``; exceeding ``max_terms``
-    raises :class:`CostLimitError` so the driver can fall back to SL.
+    Cost is exponential in ``max(m_u, m_u * m_not_u)``; an enumeration over
+    more than ``DEFAULT_SC_MAX_TERMS`` terms raises :class:`CostLimitError`
+    so the driver can fall back to SL.
     """
     w_u = [s.bits for s in split.w_u]
-    return utility * _sc(w_u, [s.bits for s in split.w_not_u], max_terms)
+    return utility * _sc(w_u, [s.bits for s in split.w_not_u])
 
 
 # --- synthesis-look-up (SL) ---------------------------------------------------
@@ -262,7 +258,7 @@ def _sl_masks(width: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     return tuple(full ^ w for w in with_rank), tuple(with_rank), tuple(layers)
 
 
-def _sl_table(local: Sequence[int], max_owners: int) -> tuple[Fraction, ...]:
+def _sl_table(local: Sequence[int]) -> tuple[Fraction, ...]:
     """SL values at utility 1 of every rank of a rank-relabelled tuple.
 
     Bit S of ``win`` says that the owner subset S covers some synthesis: set
@@ -280,15 +276,17 @@ def _sl_table(local: Sequence[int], max_owners: int) -> tuple[Fraction, ...]:
     the bits of a block, each subset H of the higher ranks is one block, and
     the block's sizes are offset by |H|. No int exceeds 2**_SL_BLOCK_BITS
     bits. Closing takes about n * 2**n bit operations and counting about
-    n**2 popcounts over the same bits. More than ``max_owners`` owners raises
-    :class:`CostLimitError` before any of it is built.
+    n**2 popcounts over the same bits. More than ``DEFAULT_SL_MAX_OWNERS``
+    owners raises :class:`CostLimitError` before any of it is built.
     """
     union = 0
     for m in local:
         union |= m
     n = union.bit_length()
-    if n > max_owners:
-        raise CostLimitError(f"{n} synthesis owners exceeds the SL cap of {max_owners}")
+    if n > DEFAULT_SL_MAX_OWNERS:
+        raise CostLimitError(
+            f"{n} synthesis owners exceeds the SL cap of {DEFAULT_SL_MAX_OWNERS}"
+        )
     low_n = min(n, _SL_BLOCK_BITS)
     low_mask = (1 << low_n) - 1
     without, with_rank, layers = _sl_masks(low_n)
@@ -325,13 +323,7 @@ def _sl_table(local: Sequence[int], max_owners: int) -> tuple[Fraction, ...]:
     )
 
 
-def shapley_sl(
-    owner: int,
-    s: SynthesisSet,
-    utility: Fraction,
-    *,
-    max_owners: int = DEFAULT_SL_MAX_OWNERS,
-) -> Fraction:
+def shapley_sl(owner: int, s: SynthesisSet, utility: Fraction) -> Fraction:
     """Synthesis-look-up value of ``owner`` for one tuple.
 
     Looks the owner's marginal contributions up in the tuple's coverage table
@@ -339,13 +331,13 @@ def shapley_sl(
     completes the tuple on a subset S of the others iff some synthesis is
     covered by ``S + owner`` and none by ``S`` alone. The table serves every
     owner of the tuple at once; this returns one owner's entry. Cost is
-    exponential in the number of synthesis owners; above ``max_owners``
-    raises :class:`CostLimitError`.
+    exponential in the number of synthesis owners; above
+    ``DEFAULT_SL_MAX_OWNERS`` raises :class:`CostLimitError`.
     """
     owners, local = _rank_relabel(s)
     if owner not in owners:
         return Fraction(0)
-    return utility * _sl_table(local, max_owners)[owners.index(owner)]
+    return utility * _sl_table(local)[owners.index(owner)]
 
 
 # --- IUSV driver ---------------------------------------------------------------
@@ -385,8 +377,6 @@ def iusv_tuple(
     gamma: float = DEFAULT_GAMMA,
     *,
     stats: CaseStats | None = None,
-    sc_max_terms: int = DEFAULT_SC_MAX_TERMS,
-    sl_max_owners: int = DEFAULT_SL_MAX_OWNERS,
 ) -> dict[int, Fraction]:
     """Exact per-tuple Shapley values for every owner in a minimal synthesis.
 
@@ -394,8 +384,10 @@ def iusv_tuple(
     owner to SC when the tuple's owner count exceeds
     ``gamma * max(m_u, m_u * m_not_u)`` and to SL when it does not. The
     tuple's SL table is built once, on its first SL-routed owner, and read for
-    every other one. If the preferred route exceeds its budget the other one
-    is used silently; only a double failure raises, and a ``gamma`` that is
+    every other one. If the preferred route exceeds its budget (more than
+    ``DEFAULT_SC_MAX_TERMS`` inclusion-exclusion terms for SC, more than
+    ``DEFAULT_SL_MAX_OWNERS`` owners for SL) the other one is used
+    silently; only a double failure raises, and a ``gamma`` that is
     not positive (NaN included) raises ``ValueError``. Owners outside every
     synthesis are omitted (their value is zero), and the returned values sum
     to ``utility`` exactly.
@@ -403,18 +395,14 @@ def iusv_tuple(
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     owners, local = _rank_relabel(s)
-    by_rank, delta = _unit_values(owners, local, gamma, sc_max_terms, sl_max_owners)
+    by_rank, delta = _unit_values(owners, local, gamma)
     if stats is not None:
         stats.merge(delta)
     return {owner: utility * v for owner, v in zip(owners, by_rank)}
 
 
 def _unit_values(
-    owners: Sequence[int],
-    local: Sequence[int],
-    gamma: float,
-    sc_max_terms: int,
-    sl_max_owners: int,
+    owners: Sequence[int], local: Sequence[int], gamma: float
 ) -> tuple[tuple[Fraction, ...], CaseStats]:
     """The values at utility 1 of every rank of a tuple, and its case counts.
 
@@ -455,11 +443,11 @@ def _unit_values(
                 if route == "sc":
                     bit = 1 << rank
                     w_u = [m for m in local if m & bit]
-                    value = _sc(w_u, [m for m in local if not m & bit], sc_max_terms)
+                    value = _sc(w_u, [m for m in local if not m & bit])
                     stats.sc_calls += 1
                 else:
                     if sl_table is None:
-                        sl_table = _sl_table(local, sl_max_owners)
+                        sl_table = _sl_table(local)
                     value = sl_table[rank]
                     stats.sl_calls += 1
             except CostLimitError:
@@ -529,8 +517,6 @@ def iusv_all(
     gamma: float = DEFAULT_GAMMA,
     *,
     per_tuple: bool = False,
-    sc_max_terms: int = DEFAULT_SC_MAX_TERMS,
-    sl_max_owners: int = DEFAULT_SL_MAX_OWNERS,
 ) -> IusvResult:
     """Exact Shapley allocation for a whole coalition set.
 
@@ -578,9 +564,7 @@ def iusv_all(
         group.owners, key = _rank_relabel(group.syntheses)
         entry = cache.get(key)
         if entry is None:
-            entry = cache[key] = _unit_values(
-                group.owners, key, gamma, sc_max_terms, sl_max_owners
-            )
+            entry = cache[key] = _unit_values(group.owners, key, gamma)
         group.unit, delta = entry
         stats.merge(delta, group.count)
         for owner, v in zip(group.owners, group.unit):

@@ -3,6 +3,8 @@ from random import Random
 
 import pytest
 
+import assemblage_shapley.baselines as baselines_module
+
 from assemblage_shapley import (
     CostLimitError,
     OwnedTable,
@@ -75,14 +77,15 @@ def test_trad_equals_iusv_on_random_instances():
         assert exact.shares == fast.shares
 
 
-def test_trad_refuses_above_owner_cap():
+def test_trad_refuses_above_owner_cap(monkeypatch):
     tables = [OwnedTable("t", o, ("x",), ((o,),)) for o in range(21)]
     ev = UtilityEvaluator(Scan("t"), tables)
     with pytest.raises(CostLimitError):
         trad_shapley(ev)
-    # but the cap is configurable downward too
+    # the cap is read where it is checked, so a lower one applies at once
+    monkeypatch.setattr(baselines_module, "DEFAULT_TRAD_MAX_OWNERS", 2)
     with pytest.raises(CostLimitError):
-        trad_shapley(UtilityEvaluator(Scan("t"), tables[:3]), max_owners=2)
+        trad_shapley(UtilityEvaluator(Scan("t"), tables[:3]))
 
 
 # --- perm_shapley ------------------------------------------------------------------

@@ -458,6 +458,19 @@ def test_report_files_check_status_metrics_and_histogram(tmp_path, bad, fmt):
     assert exc_info.value.path == str(path)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_files_that_are_not_utf8_are_refused(tmp_path, fmt):
+    write, read = {"csv": (reports_to_csv, reports_from_csv),
+                   "json": (reports_to_json, reports_from_json)}[fmt]
+    path = tmp_path / f"reports.{fmt}"
+    write([RunReport.for_config(RunConfig(method="iusv"))], path)
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())  # a UTF-16 byte order mark
+    message = r"^report file is not UTF-8 text: cannot decode byte 0xff: invalid start byte \["
+    with pytest.raises(IngestError, match=message) as exc_info:
+        read(path)
+    assert exc_info.value.path == str(path)
+
+
 def test_reports_json_roundtrip(tmp_path):
     reports = _sample_reports()
     path = tmp_path / "reports.json"

@@ -387,8 +387,10 @@ def test_shapley_requires_inputs(tmp_path, capsys):
         '{"n_owners": 1, "tables": {"t": {"owners": {"0": "t.csv"}}}}',
         '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "owners": ["t.csv"]}}}',
         '{"n_owners": 1, "tables": {"t": null}}',
+        '{"n_owners": true, "tables": {}}',
     ],
-    ids=["empty", "array", "not-json", "text-n-owners", "no-schema", "owners-list", "null-table"],
+    ids=["empty", "array", "not-json", "text-n-owners", "no-schema", "owners-list", "null-table",
+         "bool-n-owners"],
 )
 def test_cli_reports_a_malformed_manifest_cleanly(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
@@ -550,6 +552,66 @@ def test_cli_reports_a_missing_input_file_cleanly(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case", ["plan", "coalition", "manifest", "owner-csv", "gen-csv", "reference"]
+)
+def test_cli_reports_a_non_utf8_input_file_cleanly(tmp_path, capsys, case):
+    outdir = _gen(tmp_path)
+    capsys.readouterr()
+    manifest, plan = str(outdir / "manifest.json"), str(DATA / "plan.json")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+    out = ["--out", str(tmp_path / "out.json")]
+    if case == "plan":
+        argv = ["assemble", "--manifest", manifest, "--plan", str(bad), *out]
+    elif case == "coalition":
+        argv = ["shapley", "--method", "iusv", "--coalition", str(bad), *out]
+    elif case == "manifest":
+        argv = ["assemble", "--manifest", str(bad), "--plan", plan, *out]
+    elif case == "owner-csv":
+        bad = outdir / "orders__owner0002.csv"
+        bad.write_bytes(bad.read_bytes() + b"9,\xff,1\n")
+        argv = ["assemble", "--manifest", manifest, "--plan", plan, *out]
+    elif case == "gen-csv":
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"id,name\n1,caf\xff\n")
+        argv = ["gen", str(bad), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["shapley", "--method", "iusv", "--manifest", manifest, "--plan", plan,
+                "--reference", str(bad), *out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not UTF-8 text: cannot decode byte 0xff" in err
+    assert f"[{bad}]" in err and "Traceback" not in err
+
+
+def test_shapley_refuses_a_coalition_utility_of_true(tmp_path, capsys):
+    path = tmp_path / "coalition.json"
+    path.write_text(json.dumps({
+        "schema": ["x"], "n_owners": 1,
+        "tuples": [{"values": [1], "utility": True, "syntheses": [[0]]}],
+    }))
+    out = tmp_path / "r.json"
+    rc = main(["shapley", "--method", "iusv", "--coalition", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: malformed coalition set: TypeError: True is not a utility [{path}]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_shapley_reports_an_invalid_timeout_cleanly(tmp_path, capsys, timeout):
+    plan, tables = example_counter_tables()
+    coalition = tmp_path / "coalition.json"
+    dump_coalition(evaluate_plan(plan, tables), coalition)
+    out = tmp_path / "r.json"
+    argv = ["shapley", "--method", "iusv", "--coalition", str(coalition), "--timeout", timeout]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invalid run flags: timeout must be positive, got {float(timeout)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

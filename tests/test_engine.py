@@ -232,6 +232,8 @@ def test_utility_fn_applied_and_validated():
     assert {tup.values: tup.utility for tup in d} == {(1,): Fraction(1, 2), (2,): Fraction(1)}
     with pytest.raises(ValueError):
         evaluate_plan(Scan("t"), [t], utility_fn=lambda row: Fraction(-1))
+    with pytest.raises(TypeError, match="True is not a utility"):
+        evaluate_plan(Scan("t"), [t], utility_fn=lambda row: row[0] > 0)
 
 
 def test_total_utility_is_the_exact_sum_over_mixed_denominators():
@@ -416,28 +418,41 @@ def test_repeated_attribute_name_rejected():
 
 # --- synthesis blowup cap ---------------------------------------------------------
 
-def test_synthesis_cap_aborts_with_diagnostic():
+def test_synthesis_cap_aborts_with_diagnostic(monkeypatch):
     # 3 x 3 owner copies on both join sides -> 9 incomparable pair witnesses
     lefts = [OwnedTable("l", o, ("k", "a"), ((1, "x"),)) for o in range(3)]
     rights = [OwnedTable("r", o + 3, ("k", "b"), ((1, "y"),)) for o in range(3)]
     plan = NaturalJoin(Scan("l"), Scan("r"))
     d = evaluate_plan(plan, lefts + rights)
     assert len(d.tuples[0].syntheses) == 9
+    monkeypatch.setattr(engine_module, "DEFAULT_MAX_SYNTHESES", 4)
     with pytest.raises(SynthesisLimitError):
-        evaluate_plan(plan, lefts + rights, max_syntheses=4)
+        evaluate_plan(plan, lefts + rights)
     # each message names the row, the count, the cap and the operator
     message = r"tuple \(1, 'x', 'y'\) has 9 minimal syntheses \(cap 4\) after join$"
     with pytest.raises(SynthesisLimitError, match=message):
-        evaluate_plan(plan, lefts + rights, max_syntheses=4)
+        evaluate_plan(plan, lefts + rights)
     union = Union((Project(Scan("l"), ("k",)), Project(Scan("r"), ("k",))))
     with pytest.raises(SynthesisLimitError, match=r"^tuple \(1,\) has 5 .*\(cap 4\) after union$"):
-        evaluate_plan(union, lefts + rights[:2], max_syntheses=4)
+        evaluate_plan(union, lefts + rights[:2])
+
+
+def test_join_row_over_the_real_synthesis_cap_is_refused():
+    # 13 fact holders times 5 dimension holders: 65 pair witnesses, one over 64
+    lefts = [OwnedTable("l", o, ("k", "a"), ((1, "x"),)) for o in range(13)]
+    rights = [OwnedTable("r", o + 13, ("k", "b"), ((1, "y"),)) for o in range(5)]
+    plan = NaturalJoin(Scan("l"), Scan("r"))
+    message = r"^tuple \(1, 'x', 'y'\) has 65 minimal syntheses \(cap 64\) after join$"
+    with pytest.raises(SynthesisLimitError, match=message):
+        evaluate_plan(plan, lefts + rights)
+    (t,) = evaluate_plan(plan, lefts[:12] + rights).tuples  # 12 x 5 = 60 fit
+    assert len(t.syntheses) == 60
 
 
 @pytest.mark.parametrize(
     "plan", [Scan("t"), Project(Scan("t"), ("x",))], ids=["scan", "project"]
 )
-def test_synthesis_cap_on_rows_no_operator_combines(plan):
+def test_synthesis_cap_on_rows_no_operator_combines(plan, monkeypatch):
     # no join and no projection collision: the output pass is the only check
     n = DEFAULT_MAX_SYNTHESES + 1
     tables = [OwnedTable("t", o, ("x", "y"), ((7, "a"),)) for o in range(n)]
@@ -449,8 +464,9 @@ def test_synthesis_cap_on_rows_no_operator_combines(plan):
         evaluate_plan(plan, tables)
     (t,) = evaluate_plan(plan, tables[1:]).tuples
     assert len(t.syntheses) == DEFAULT_MAX_SYNTHESES
+    monkeypatch.setattr(engine_module, "DEFAULT_MAX_SYNTHESES", 4)
     with pytest.raises(SynthesisLimitError):
-        evaluate_plan(plan, tables[:5], max_syntheses=4)
+        evaluate_plan(plan, tables[:5])
 
 
 # --- determinism and restriction ----------------------------------------------------

@@ -90,6 +90,8 @@ def test_as_utility_exact_decimal_conversion():
     assert as_utility(2) == Fraction(2)
     with pytest.raises(ValueError):
         as_utility(-1)
+    with pytest.raises(TypeError):  # as the value codec refuses a bool
+        as_utility(True)
 
 
 def test_allocation_basics():

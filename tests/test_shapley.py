@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction as F
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,15 +141,28 @@ def test_sc_absent_owner_is_zero():
     assert shapley_sc(5, split, F(1)) == F(0)
 
 
-def test_sc_term_cap_raises_cost_error():
+def test_sc_term_cap_raises_cost_error(monkeypatch):
     rng = Random("sc-cap")
     s = random_synthesis_set(rng, max_owners=10, max_syntheses=6)
     while classify_tuple(s) != General():
         s = random_synthesis_set(rng, max_owners=10, max_syntheses=6)
     owner = next(iter(s.owners()))
     split = SynthesisSplit.for_owner(s, owner)
+    monkeypatch.setattr(shapley_module, "DEFAULT_SC_MAX_TERMS", 1)
     with pytest.raises(CostLimitError):
-        shapley_sc(owner, split, F(1), max_terms=1)
+        shapley_sc(owner, split, F(1))
+
+
+def test_sc_over_the_real_term_cap_raises_before_enumerating(monkeypatch):
+    def no_enumeration(mask):
+        raise AssertionError("SC set up an enumeration over the cap")
+
+    monkeypatch.setattr(shapley_module, "bit_indices", no_enumeration)
+    # 25 syntheses {0, i} all hold owner 0: 2**25 - 1 terms, over 2**24
+    s = mk(26, *[[0, i] for i in range(1, 26)])
+    message = r"^inclusion-exclusion over 25 sets needs 33554431 terms \(cap 16777216\)$"
+    with pytest.raises(CostLimitError, match=message):
+        shapley_sc(0, SynthesisSplit.for_owner(s, 0), F(1))
 
 
 # --- synthesis-look-up (SL) -----------------------------------------------------------
@@ -189,12 +203,13 @@ def test_sl_owner_cap_raises_cost_error(monkeypatch):
         raise AssertionError(f"SL built a table of width {width} over the cap")
 
     monkeypatch.setattr(shapley_module, "_sl_masks", no_table)
-    with pytest.raises(CostLimitError):
-        shapley_sl(0, COUNTER, F(1), max_owners=2)
     # one owner over the default cap of 30: 2**31 subsets are never enumerated
     wide = spanning_antichain(Random("sl-cap"), 31)
     with pytest.raises(CostLimitError):
         shapley_sl(0, wide, F(1))
+    monkeypatch.setattr(shapley_module, "DEFAULT_SL_MAX_OWNERS", 2)
+    with pytest.raises(CostLimitError):
+        shapley_sl(0, COUNTER, F(1))
 
 
 def test_sl_table_over_several_blocks_matches_sc():
@@ -296,19 +311,20 @@ def test_iusv_gamma_does_not_change_values():
         assert all_sc.sc_calls == all_sl.sl_calls
 
 
-def test_iusv_silent_fallback_when_preferred_route_over_budget():
+def test_iusv_silent_fallback_when_preferred_route_over_budget(monkeypatch):
     stats = CaseStats()
     # gamma huge prefers SL for everyone, but SL is capped out -> SC fallback
-    values = iusv_tuple(
-        COUNTER, F(1), gamma=100.0, stats=stats, sl_max_owners=2
-    )
+    monkeypatch.setattr(shapley_module, "DEFAULT_SL_MAX_OWNERS", 2)
+    values = iusv_tuple(COUNTER, F(1), gamma=100.0, stats=stats)
     assert values == {0: F(2, 3), 1: F(1, 6), 2: F(1, 6)}
     assert stats.sl_calls == 0 and stats.sc_calls == 3 and stats.fallbacks == 3
 
 
-def test_iusv_double_budget_failure_raises():
+def test_iusv_double_budget_failure_raises(monkeypatch):
+    monkeypatch.setattr(shapley_module, "DEFAULT_SL_MAX_OWNERS", 2)
+    monkeypatch.setattr(shapley_module, "DEFAULT_SC_MAX_TERMS", 1)
     with pytest.raises(CostLimitError):
-        iusv_tuple(COUNTER, F(1), sl_max_owners=2, sc_max_terms=1)
+        iusv_tuple(COUNTER, F(1))
 
 
 def test_iusv_rejects_nonpositive_gamma():
@@ -408,13 +424,13 @@ def coalition(n_owners, *tuples):
     )
 
 
-def uncached(d, gamma=1.0, **caps):
+def uncached(d, gamma=1.0):
     """iusv_all's outputs computed tuple by tuple with iusv_tuple."""
     shares = [F(0)] * d.n_owners
     breakdown = {}
     stats = CaseStats()
     for i, t in enumerate(d.tuples):
-        for owner, v in iusv_tuple(t.syntheses, t.utility, gamma, stats=stats, **caps).items():
+        for owner, v in iusv_tuple(t.syntheses, t.utility, gamma, stats=stats).items():
             shares[owner] += v
             breakdown[(i, owner)] = v
     return tuple(shares), breakdown, stats
@@ -457,8 +473,9 @@ def relabelled_copies(draw, repeats=False):
     sc_max_terms=st.sampled_from([DEFAULT_SC_MAX_TERMS, 1]),
 )
 def test_iusv_all_shape_cache_equals_per_tuple_iusv(d, gamma, sc_max_terms):
-    shares, breakdown, stats = uncached(d, gamma, sc_max_terms=sc_max_terms)
-    res = iusv_all(d, gamma, per_tuple=True, sc_max_terms=sc_max_terms)
+    with mock.patch.object(shapley_module, "DEFAULT_SC_MAX_TERMS", sc_max_terms):
+        shares, breakdown, stats = uncached(d, gamma)
+        res = iusv_all(d, gamma, per_tuple=True)
     assert res.allocation.shares == shares
     assert res.allocation.per_tuple == breakdown
     assert res.stats == stats
@@ -476,8 +493,9 @@ def test_iusv_all_shape_cache_equals_per_tuple_iusv(d, gamma, sc_max_terms):
     sc_max_terms=st.sampled_from([DEFAULT_SC_MAX_TERMS, 1]),
 )
 def test_iusv_all_groups_repeated_witness_lists(d, gamma, sc_max_terms):
-    shares, breakdown, stats = uncached(d, gamma, sc_max_terms=sc_max_terms)
-    res = iusv_all(d, gamma, per_tuple=True, sc_max_terms=sc_max_terms)
+    with mock.patch.object(shapley_module, "DEFAULT_SC_MAX_TERMS", sc_max_terms):
+        shares, breakdown, stats = uncached(d, gamma)
+        res = iusv_all(d, gamma, per_tuple=True)
     assert res.allocation.shares == shares
     assert res.allocation.per_tuple == breakdown
     assert res.stats == stats
@@ -603,27 +621,30 @@ def test_shape_cache_hits_on_relabelled_copies(caplog, monkeypatch):
     ]
 
 
-def test_shape_cache_replays_fallbacks():
+def test_shape_cache_replays_fallbacks(monkeypatch):
     # owner 0 of COUNTER needs 3 SC terms: over a cap of 1 it falls back to SL
     d = coalition(6, (F(2), mk(6, [0, 1], [0, 2])), (F(7, 3), mk(6, [3, 4], [3, 5])))
-    res = iusv_all(d, sc_max_terms=1)
-    shares, _, stats = uncached(d, sc_max_terms=1)
+    monkeypatch.setattr(shapley_module, "DEFAULT_SC_MAX_TERMS", 1)
+    res = iusv_all(d)
+    shares, _, stats = uncached(d)
     assert res.allocation.shares == shares
     assert res.stats == stats
     assert (res.stats.fallbacks, res.shape_cache_hits) == (2, 1)
 
 
-def test_shape_cache_double_budget_failure_names_global_owner():
+def test_shape_cache_double_budget_failure_names_global_owner(monkeypatch):
     d = coalition(7, (F(1), mk(7, [4, 5], [4, 6])), (F(1), mk(7, [0, 1], [0, 2])))
+    monkeypatch.setattr(shapley_module, "DEFAULT_SC_MAX_TERMS", 1)
+    monkeypatch.setattr(shapley_module, "DEFAULT_SL_MAX_OWNERS", 2)
     with pytest.raises(CostLimitError) as got:
-        iusv_all(d, sc_max_terms=1, sl_max_owners=2)
+        iusv_all(d)
     with pytest.raises(CostLimitError) as want:
-        iusv_tuple(d.tuples[0].syntheses, F(1), sc_max_terms=1, sl_max_owners=2)
+        iusv_tuple(d.tuples[0].syntheses, F(1))
     assert "owner 4 " in str(got.value)
     assert str(got.value) == str(want.value)
 
 
-def test_double_budget_failure_raises_on_the_first_failing_tuple():
+def test_double_budget_failure_raises_on_the_first_failing_tuple(monkeypatch):
     # COUNTER's shape falls back to SL (3 owners, cap 3); the singles are a
     # closed form. Both lists repeat before the first tuple over both budgets.
     ok_general = mk(8, [0, 1], [0, 2])
@@ -635,14 +656,15 @@ def test_double_budget_failure_raises_on_the_first_failing_tuple():
         (F(1), ok_general), (F(2), ok_closed), (F(1, 3), ok_general), (F(4), ok_closed),
         (F(1), first), (F(1), ok_general), (F(1), later), (F(1), first),
     )
-    caps = dict(sc_max_terms=1, sl_max_owners=3)
-    ok = iusv_all(coalition(8, *[(t.utility, t.syntheses) for t in d.tuples[:4]]), **caps)
+    monkeypatch.setattr(shapley_module, "DEFAULT_SC_MAX_TERMS", 1)
+    monkeypatch.setattr(shapley_module, "DEFAULT_SL_MAX_OWNERS", 3)
+    ok = iusv_all(coalition(8, *[(t.utility, t.syntheses) for t in d.tuples[:4]]))
     assert ok.stats.fallbacks == 2  # owner 0 of each general tuple
     with pytest.raises(CostLimitError) as got:
-        iusv_all(d, per_tuple=True, **caps)
+        iusv_all(d, per_tuple=True)
     with pytest.raises(CostLimitError) as want:
-        iusv_tuple(first, F(1), **caps)
+        iusv_tuple(first, F(1))
     with pytest.raises(CostLimitError) as other:
-        iusv_tuple(later, F(1), **caps)
+        iusv_tuple(later, F(1))
     assert "owner 3 " in str(got.value)
     assert str(got.value) == str(want.value) != str(other.value)
