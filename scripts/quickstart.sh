@@ -13,10 +13,12 @@
 # Each malformed or missing input must print error: and exit 2 with no
 # traceback: a plan with a missing field, a plan whose where constant is
 # true, a bad cell in a column the plan projects away, a scenario that is
-# not JSON, a scenario whose max_copies is 1.5, a manifest whose scenario
-# has an unknown field, a manifest that does not exist, a coalition set over
-# more than 4096 owners, a coalition set that is not UTF-8, a shapley
-# --timeout of 0 and a reference report one owner short. Both iusv
+# not JSON, a scenario whose max_copies is 1.5, a gen --k of 5000 (10 001
+# owners, over the 4096 cap), a manifest whose scenario has an unknown
+# field, a manifest that does not exist, a coalition set over more than 4096
+# owners, a coalition set that is not UTF-8, a shapley --timeout of 0, a
+# shapley --gamma of 0 (refused before its inputs are read), a perm
+# --samples of 0 and a reference report one owner short. Both iusv
 # routes must give the same exact allocation, owner files with a repeated
 # line must assemble to the same bytes, the perm run must report an error
 # rate, and the bench matrix's CSV must read back equal to its JSON, with
@@ -78,6 +80,9 @@ echo '{"max_copies": 1.5}' > "$out/float_scenario.json"
 expect_error "scenario with max_copies 1.5" gen "$data/items.csv" \
   --scenario "$out/float_scenario.json" --out "$out/bad_owners"
 
+expect_error "gen over the owner cap" gen "$data/customers.csv" "$data/orders.csv" \
+  "$data/items.csv" --k 5000 --out "$out/bad_owners"
+
 python - "$out/owners/manifest.json" "$out/owners/bad_manifest.json" <<'EOF'
 import json, sys
 manifest = json.load(open(sys.argv[1]))
@@ -101,6 +106,12 @@ expect_error "coalition set that is not UTF-8" shapley --method iusv \
 
 expect_error "shapley --timeout 0" shapley --method iusv --coalition "$out/coalition.json" \
   --timeout 0 --out "$out/no_time.json"
+
+expect_error "shapley --gamma 0" shapley --method iusv --gamma 0 \
+  --manifest "$out/nope/manifest.json" --plan "$data/plan.json" --out "$out/no_gamma.json"
+
+expect_error "shapley --samples 0" shapley --method perm --samples 0 \
+  --manifest "$out/owners/manifest.json" --plan "$data/plan.json" --out "$out/no_samples.json"
 
 "${cli[@]}" shapley --method iusv --manifest "$out/owners/manifest.json" \
   --plan "$data/plan.json" --out "$out/exact.json"

@@ -66,7 +66,7 @@ class UtilityEvaluator:
         return value
 
 
-def trad_shapley(ev: UtilityEvaluator, owners: OwnerSet | None = None) -> Allocation:
+def trad_shapley(ev: UtilityEvaluator) -> Allocation:
     """Exact Shapley values by subset enumeration over the whole owner set.
 
     For each owner u this averages the marginal ``evaluate(S + u) -
@@ -74,18 +74,16 @@ def trad_shapley(ev: UtilityEvaluator, owners: OwnerSet | None = None) -> Alloca
     ``1 / (n * C(n-1, |S|))``. Exponentially many evaluator calls; refuses
     more than ``DEFAULT_TRAD_MAX_OWNERS`` owners.
     """
-    if owners is None:
-        owners = OwnerSet.full(ev.n_owners)
-    n = len(owners)
+    n = ev.n_owners
     if n > DEFAULT_TRAD_MAX_OWNERS:
         raise CostLimitError(
             f"{n} owners exceeds the exact-baseline cap of {DEFAULT_TRAD_MAX_OWNERS}"
         )
-    member_list = list(owners)
-    shares = [Fraction(0)] * ev.n_owners
-    for u in member_list:
+    full = (1 << n) - 1
+    shares = [Fraction(0)] * n
+    for u in range(n):
         ubit = 1 << u
-        others = owners.bits & ~ubit
+        others = full & ~ubit
         total = Fraction(0)
         # iterate all submasks of `others`, including 0
         sub = others
@@ -100,9 +98,14 @@ def trad_shapley(ev: UtilityEvaluator, owners: OwnerSet | None = None) -> Alloca
     return Allocation(shares=tuple(shares))
 
 
+def _check_samples(samples: int) -> None:
+    """Raise ``ValueError`` unless ``samples`` is at least one."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+
+
 def perm_shapley(
     ev: UtilityEvaluator,
-    owners: OwnerSet | None = None,
     samples: int = 16,
     seed: int = 0,
     *,
@@ -117,9 +120,7 @@ def perm_shapley(
     ``exhaustive=True`` all permutations are enumerated instead, which
     recovers the exact value.
     """
-    if owners is None:
-        owners = OwnerSet.full(ev.n_owners)
-    member_list = list(owners)
+    member_list = list(range(ev.n_owners))
     sums = [Fraction(0)] * ev.n_owners
 
     def walk(perm: Sequence[int]) -> None:
@@ -138,8 +139,7 @@ def perm_shapley(
             count += 1
         assert count == factorial(len(member_list))
     else:
-        if samples < 1:
-            raise ValueError(f"need at least one sample, got {samples}")
+        _check_samples(samples)
         count = samples
         for i in range(samples):
             rng = Random(f"perm-shapley:{seed}:{i}")

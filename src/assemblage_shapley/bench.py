@@ -25,13 +25,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Sequence, get_args, get_type_hints
 
-from .baselines import PRNG_NAME, UtilityEvaluator, perm_shapley, trad_shapley
+from .baselines import PRNG_NAME, UtilityEvaluator, _check_samples, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
 from .errors import IngestError, UndefinedMetricError, decoded, read_json, utf8_text
 from .model import Allocation, exact_sum
 from .plans import PlanNode, required_columns
-from .shapley import DEFAULT_GAMMA, CaseStats, iusv_all
+from .shapley import DEFAULT_GAMMA, CaseStats, _check_gamma, iusv_all
 
 #: How a CSV cell of each type parses. Each ignores surrounding whitespace.
 CELL_PARSERS: dict[str, Callable[[str], Any]] = {
@@ -342,7 +342,10 @@ STATUSES = ("ok", "timeout", "error")
 class RunConfig:
     """One method execution: which algorithm, its knobs, and its timeout.
 
-    The class attributes hold the defaults, which the CLI flags share."""
+    The class attributes hold the defaults, which the CLI flags share. Every
+    knob is checked here, for every method, by the raiser of the library
+    function that reads it, so a bad value is refused before any input is
+    read."""
 
     method: str
     gamma: float = DEFAULT_GAMMA
@@ -354,6 +357,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        _check_gamma(self.gamma)
+        _check_samples(self.samples)
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout must be positive, got {self.timeout_s}")
 

@@ -79,7 +79,10 @@ def _cmd_gen(args) -> int:
     schema_config, types = _load_schema_config(args.schema)
     tables = ingest_csv(args.csv, schema_config)
     scenario = _scenario_from_args(args)
-    assignment = generate_assignment(tables, scenario)
+    try:
+        assignment = generate_assignment(tables, scenario)
+    except ValueError as exc:  # too many owners for these tables
+        raise AssemblageError(f"cannot assign owners: {exc}") from None
     manifest = write_assignment(assignment, args.out, types=types)
     rows = {t.name: len(t) for t in tables}
     print(f"ingested {len(tables)} tables: {rows}")
@@ -97,15 +100,9 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_shapley(args) -> int:
+    knobs = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     try:
-        config = RunConfig(
-            method=args.method,
-            gamma=args.gamma,
-            samples=args.samples,
-            seed=args.seed,
-            timeout_s=args.timeout,
-            label=args.label,
-        )
+        config = RunConfig(**knobs)
     except ValueError as exc:
         raise AssemblageError(f"invalid run flags: {exc}") from None
     reference = None
@@ -146,6 +143,10 @@ def _cmd_shapley(args) -> int:
     return 0 if report.status == "ok" else 1
 
 
+#: The keys a ``bench`` matrix cell may set: the run's knobs and its inputs.
+_CELL_KEYS = ("method", "gamma", "samples", "seed", "timeout", "label", "plan", "manifest")
+
+
 def _cmd_bench(args) -> int:
     matrix = read_json(args.matrix, "matrix")
     cells = matrix.get("cells") if isinstance(matrix, dict) else None
@@ -172,6 +173,10 @@ def _cmd_bench(args) -> int:
         )
 
         def load(cell=cell):
+            unknown = [key for key in cell if key not in _CELL_KEYS]
+            if unknown:  # a misspelt knob would otherwise run at its default
+                takes = ", ".join(_CELL_KEYS)
+                raise ValueError(f"unknown cell keys {unknown}; a cell takes {takes}")
             plan = load_plan(cell.get("plan", args.plan))
             tables, n_owners, _ = load_assignment(cell.get("manifest", args.manifest), plan=plan)
             return plan, tables, n_owners
@@ -218,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeout",
         type=float,
+        dest="timeout_s",
         default=RunConfig.timeout_s,
         help="seconds before the run is killed",
     )

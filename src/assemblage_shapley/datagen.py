@@ -17,9 +17,9 @@ from functools import lru_cache
 from random import Random
 from typing import Mapping, Sequence
 
+from . import model
 from .engine import OwnedTable, SourceTable
 from .errors import read_json
-from .model import DEFAULT_MAX_OWNERS
 
 OWNER_MODES = ("EO", "UO")
 ASSIGN_MODES = ("EA", "UA")
@@ -199,8 +199,8 @@ def generate_assignment(tables: Sequence[SourceTable], scenario: AssignmentScena
     """
     counts = assign_owner_counts(tables, scenario)
     n_owners = sum(counts.values())
-    if n_owners > DEFAULT_MAX_OWNERS:
-        raise ValueError(f"{n_owners} owners exceeds the configured cap of {DEFAULT_MAX_OWNERS}")
+    if n_owners > (cap := model.DEFAULT_MAX_OWNERS):
+        raise ValueError(f"{n_owners} owners exceeds the cap of {cap}")
     owned: list[OwnedTable] = []
     owners_by_table: dict[str, tuple[int, ...]] = {}
     next_owner = 0

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import model
 from .errors import PlanError, SynthesisLimitError, read_json
-from .model import (
-    DEFAULT_MAX_OWNERS, OwnerSet, as_utility, bit_indices, exact_sum, value_from_json,
-    value_to_json,
-)
+from .model import OwnerSet, as_utility, bit_indices, exact_sum, value_from_json, value_to_json
 from .plans import (
     EquiJoin, Layout, NaturalJoin, PlanNode, Project, Scan, Union, children, plan_layout,
 )
@@ -284,8 +282,8 @@ def evaluate_plan(
     """
     if n_owners is None:
         n_owners = infer_n_owners(tables)
-    if n_owners > DEFAULT_MAX_OWNERS:
-        raise PlanError(f"{n_owners} owners exceeds the configured cap of {DEFAULT_MAX_OWNERS}")
+    if n_owners > (cap := model.DEFAULT_MAX_OWNERS):
+        raise PlanError(f"{n_owners} owners exceeds the cap of {cap}")
     for t in tables:
         if t.owner >= n_owners:
             raise PlanError(f"table {t.table!r} owner {t.owner} outside universe of {n_owners}")
@@ -389,11 +387,11 @@ def coalition_to_dict(d: CoalitionSet) -> dict:
 
 def coalition_from_dict(data: Mapping[str, Any]) -> CoalitionSet:
     """The coalition set in ``data``, as :func:`coalition_to_dict` writes it.
-    An ``n_owners`` that is not an integer from 0 to ``DEFAULT_MAX_OWNERS``
+    An ``n_owners`` that is not an integer from 0 to ``model.DEFAULT_MAX_OWNERS``
     raises ``ValueError``, as :func:`evaluate_plan` would refuse it."""
-    n = data["n_owners"]
-    if type(n) is not int or not 0 <= n <= DEFAULT_MAX_OWNERS:
-        raise ValueError(f"n_owners must be an integer from 0 to {DEFAULT_MAX_OWNERS}, got {n!r}")
+    n, cap = data["n_owners"], model.DEFAULT_MAX_OWNERS
+    if type(n) is not int or not 0 <= n <= cap:
+        raise ValueError(f"n_owners must be an integer from 0 to {cap}, got {n!r}")
     tuples = []
     for item in data["tuples"]:
         syntheses = SynthesisSet.from_sets(

@@ -56,6 +56,12 @@ DEFAULT_SL_MAX_OWNERS = 30
 DEFAULT_GAMMA = 1.0
 
 
+def _check_gamma(gamma: float) -> None:
+    """Raise ``ValueError`` unless ``gamma`` is positive; NaN is not."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+
+
 # --- tuple case classification ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -392,8 +398,7 @@ def iusv_tuple(
     synthesis are omitted (their value is zero), and the returned values sum
     to ``utility`` exactly.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     owners, local = _rank_relabel(s)
     by_rank, delta = _unit_values(owners, local, gamma)
     if stats is not None:
@@ -545,8 +550,7 @@ def iusv_all(
     tuple over both budgets, naming that tuple's owner. With ``per_tuple``, a
     second pass scales each tuple's unit values by its own utility.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     groups: dict[tuple[int, ...], _WitnessGroup] = {}
     for t in d.tuples:
         group = groups.get(key := t.syntheses.masks())

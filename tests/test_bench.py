@@ -397,12 +397,17 @@ _GOLDEN_CSV = "\r\n".join([
 
 
 def _golden_reports():
-    """The sample reports and two iusv runs with a non-finite gamma, with
-    fixed runtimes."""
+    """The sample reports, an iusv run with an infinite gamma and the error
+    report of one with a NaN gamma, with fixed runtimes. ``RunConfig``
+    refuses a NaN gamma, so that report is built from its field values."""
     plan, tables = example_counter_tables()
     reports = _sample_reports() + [
         run_method(RunConfig(method="iusv", label="inf", gamma=float("inf")), plan, tables),
-        run_method(RunConfig(method="iusv", label="nan", gamma=float("nan")), plan, tables),
+        RunReport(
+            label="nan", method="iusv", status="error", gamma=float("nan"), samples=16, seed=0,
+            timeout_s=7200.0, n_owners=3, n_tuples=1, total_utility=1.0,
+            error="ValueError: gamma must be positive, got nan",
+        ),
     ]
     return [replace(r, runtime_seconds=None, assemble_seconds=0.125) for r in reports]
 

@@ -55,6 +55,15 @@ def test_gen_writes_manifest_and_owner_csvs(tmp_path, capsys):
     assert "'customers': 120" in out and "'orders': 180" in out and "'items': 40" in out
 
 
+def test_gen_over_the_owner_cap_reports_cleanly(tmp_path, capsys):
+    csvs = [str(DATA / f"{name}.csv") for name in ("customers", "orders", "items")]
+    # customers and orders get 5000 owners each, items 1
+    assert main(["gen", *csvs, "--k", "5000", "--out", str(tmp_path / "owners")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot assign owners: 10001 owners exceeds the cap of 4096\n"
+    assert not (tmp_path / "owners").exists()
+
+
 def test_gen_is_deterministic(tmp_path):
     a = _gen(tmp_path / "a")
     b = _gen(tmp_path / "b")
@@ -301,6 +310,28 @@ def test_bench_keeps_finished_cells_when_a_cell_cannot_load_or_configure(tmp_pat
     assert len(bench.reports_from_csv(tmp_path / "bench.csv")) == 5
 
 
+def test_bench_refuses_unknown_cell_keys_and_invalid_knobs_per_cell(tmp_path):
+    outdir = _gen(tmp_path)
+    rc = _bench(
+        tmp_path,
+        outdir,
+        [
+            {"label": "typo", "method": "iusv", "gama": 0, "timeout_s": 0.001},
+            {"label": "g0", "method": "iusv", "gamma": 0, "plan": str(tmp_path / "nope.json")},
+            {"label": "s0", "method": "perm", "samples": 0},
+            {"label": "after", "method": "iusv"},
+        ],
+    )
+    assert rc == 0
+    reports = json.loads((tmp_path / "bench.json").read_text())
+    assert [r["status"] for r in reports] == ["error", "error", "error", "ok"]
+    assert reports[0]["error"].startswith("ValueError: unknown cell keys ['gama', 'timeout_s']")
+    # the knobs are checked before the missing plan is read
+    assert reports[1]["error"] == "ValueError: gamma must be positive, got 0"
+    assert reports[2]["error"] == "ValueError: need at least one sample, got 0"
+    assert reports[0]["gamma"] == 1.0 and reports[1]["gamma"] == 0
+
+
 def test_bench_writes_reports_after_every_cell(tmp_path, monkeypatch):
     outdir = _gen(tmp_path)
     real_run_method = bench.run_method
@@ -369,7 +400,7 @@ def test_shapley_requires_inputs(tmp_path, capsys):
     parser = build_parser()
     args = parser.parse_args(["shapley", "--method", "trad", "--out", "r.json"])
     defaults = RunConfig(method="trad")
-    assert (args.gamma, args.samples, args.seed, args.timeout) == (
+    assert (args.gamma, args.samples, args.seed, args.timeout_s) == (
         defaults.gamma, defaults.samples, defaults.seed, defaults.timeout_s
     )
     assert defaults.gamma == shapley.DEFAULT_GAMMA
@@ -601,16 +632,25 @@ def test_shapley_refuses_a_coalition_utility_of_true(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("timeout", ["0", "-1"])
-def test_shapley_reports_an_invalid_timeout_cleanly(tmp_path, capsys, timeout):
-    plan, tables = example_counter_tables()
-    coalition = tmp_path / "coalition.json"
-    dump_coalition(evaluate_plan(plan, tables), coalition)
-    out = tmp_path / "r.json"
-    argv = ["shapley", "--method", "iusv", "--coalition", str(coalition), "--timeout", timeout]
-    assert main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: invalid run flags: timeout must be positive, got {float(timeout)}\n"
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--timeout", "0", "timeout must be positive, got 0.0"),
+        ("--timeout", "-1", "timeout must be positive, got -1.0"),
+        ("--gamma", "0", "gamma must be positive, got 0.0"),
+        ("--gamma", "-1", "gamma must be positive, got -1.0"),
+        ("--gamma", "nan", "gamma must be positive, got nan"),
+        ("--samples", "0", "need at least one sample, got 0"),
+    ],
+    ids=["0", "-1", "gamma-0", "gamma--1", "gamma-nan", "samples-0"],
+)
+def test_shapley_reports_an_invalid_timeout_cleanly(tmp_path, capsys, flag, value, message):
+    # every knob is checked for every method, iusv's samples too, and before
+    # any input is read: the manifest does not exist
+    manifest, out = tmp_path / "nope" / "manifest.json", tmp_path / "r.json"
+    argv = ["shapley", "--method", "iusv", "--manifest", str(manifest), flag, value]
+    assert main(argv + ["--plan", str(DATA / "plan.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: invalid run flags: {message}\n"
     assert not out.exists()
 
 

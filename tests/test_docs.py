@@ -1,5 +1,7 @@
 """The Markdown documentation: relative links resolve, examples load."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -45,3 +47,15 @@ def test_plan_schema_examples_load(tmp_path):
         plans.append(load_plan(path))
     # the first example is the bundled mini-world plan
     assert plans[0] == load_plan(ROOT / "data" / "mini-world" / "plan.json")
+
+
+def test_readme_python_examples_run_and_print_what_they_show():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    assert blocks, "README.md has no Python example"
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        shown = {line[2:] for line in block.splitlines() if line.startswith("# ")}
+        assert set(out.getvalue().splitlines()) <= shown, block

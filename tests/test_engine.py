@@ -6,8 +6,10 @@ from random import Random
 import pytest
 
 import assemblage_shapley.engine as engine_module
+import assemblage_shapley.model as model_module
 import assemblage_shapley.plans as plans_module
 from assemblage_shapley import (
+    AssignmentScenario,
     EquiJoin,
     IngestError,
     NaturalJoin,
@@ -21,6 +23,7 @@ from assemblage_shapley import (
     SynthesisSet,
     Union,
     evaluate_plan,
+    generate_assignment,
     iusv_all,
     minimalize,
     plan_from_json,
@@ -447,6 +450,20 @@ def test_join_row_over_the_real_synthesis_cap_is_refused():
         evaluate_plan(plan, lefts + rights)
     (t,) = evaluate_plan(plan, lefts[:12] + rights).tuples  # 12 x 5 = 60 fit
     assert len(t.syntheses) == 60
+
+
+def test_owner_cap_is_read_through_model_by_every_check(monkeypatch):
+    tables = [OwnedTable("t", o, ("x",), ((o,),)) for o in range(3)]
+    three = coalition_to_dict(evaluate_plan(Scan("t"), tables))
+    source = SourceTable("t", ("x",), tuple((i,) for i in range(200)))
+    monkeypatch.setattr(model_module, "DEFAULT_MAX_OWNERS", 2)
+    with pytest.raises(PlanError, match=r"^3 owners exceeds the cap of 2$"):
+        evaluate_plan(Scan("t"), tables)
+    with pytest.raises(ValueError, match=r"^3 owners exceeds the cap of 2$"):
+        generate_assignment([source], AssignmentScenario(k=3))
+    with pytest.raises(ValueError, match=r"^n_owners must be an integer from 0 to 2, got 3$"):
+        coalition_from_dict(three)
+    assert len(evaluate_plan(Scan("t"), tables[:2])) == 2  # at the cap
 
 
 @pytest.mark.parametrize(
