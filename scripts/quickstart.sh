@@ -13,16 +13,18 @@
 # Each malformed or missing input must print error: and exit 2 with no
 # traceback: a plan with a missing field, a plan whose where constant is
 # true, a bad cell in a column the plan projects away, a scenario that is
-# not JSON, a scenario whose max_copies is 1.5, a gen --k of 5000 (10 001
-# owners, over the 4096 cap), a manifest whose scenario has an unknown
-# field, a manifest that does not exist, a coalition set over more than 4096
-# owners, a coalition set that is not UTF-8, a shapley --timeout of 0, a
-# shapley --gamma of 0 (refused before its inputs are read), a perm
-# --samples of 0 and a reference report one owner short. Both iusv
-# routes must give the same exact allocation, owner files with a repeated
-# line must assemble to the same bytes, the perm run must report an error
-# rate, and the bench matrix's CSV must read back equal to its JSON, with
-# every cell ok.
+# not JSON, a scenario whose max_copies is 1.5, a gen --alpha of nan, a
+# gen --k of 5000 (10 001 owners, over the 4096 cap), a manifest whose
+# scenario has an unknown field, a manifest that does not exist, a
+# coalition set over more than 4096 owners, a coalition set that is not
+# UTF-8, a shapley --timeout of 0 or nan, a shapley --gamma of 0 (refused
+# before its inputs are read), a perm --samples of 0 and a reference report
+# one owner short. Both iusv routes must give the same exact allocation,
+# owner files with a repeated line must assemble to the same bytes, the perm
+# run must report an error rate, and the bench matrix's CSV must read back
+# equal to its JSON, with every cell ok. A second matrix, of a cell with no
+# method, one with gamma true and one with seed "x", must report each cell
+# as an error, and its CSV must read back equal to its JSON too.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -80,6 +82,8 @@ echo '{"max_copies": 1.5}' > "$out/float_scenario.json"
 expect_error "scenario with max_copies 1.5" gen "$data/items.csv" \
   --scenario "$out/float_scenario.json" --out "$out/bad_owners"
 
+expect_error "gen --alpha nan" gen "$data/items.csv" --alpha nan --out "$out/bad_owners"
+
 expect_error "gen over the owner cap" gen "$data/customers.csv" "$data/orders.csv" \
   "$data/items.csv" --k 5000 --out "$out/bad_owners"
 
@@ -106,6 +110,9 @@ expect_error "coalition set that is not UTF-8" shapley --method iusv \
 
 expect_error "shapley --timeout 0" shapley --method iusv --coalition "$out/coalition.json" \
   --timeout 0 --out "$out/no_time.json"
+
+expect_error "shapley --timeout nan" shapley --method iusv --coalition "$out/coalition.json" \
+  --timeout nan --out "$out/no_time.json"
 
 expect_error "shapley --gamma 0" shapley --method iusv --gamma 0 \
   --manifest "$out/nope/manifest.json" --plan "$data/plan.json" --out "$out/no_gamma.json"
@@ -173,5 +180,30 @@ if from_csv != from_json:
 if [r.status for r in from_json] != ["ok"] * 3:
     sys.exit(f"bench cells not all ok: {[r.status for r in from_json]}")
 print(f"perm error_rate {metrics['error_rate']}; bench CSV equals JSON, 3 cells ok")
+EOF
+
+# Knobs of the wrong type: each cell is an error report that the CSV reads
+# back as the JSON has it.
+cat > "$out/bad_matrix.json" <<'EOF'
+{"cells": [
+  {"label": "no-method"},
+  {"label": "gamma-true", "method": "iusv", "gamma": true},
+  {"label": "seed-text", "method": "iusv", "seed": "x"}
+]}
+EOF
+"${cli[@]}" bench --matrix "$out/bad_matrix.json" \
+  --manifest "$out/owners/manifest.json" --plan "$data/plan.json" \
+  --timeout 120 --out "$out/bad_bench.json" --csv-out "$out/bad_bench.csv"
+python - "$out" <<'EOF'
+import sys
+from assemblage_shapley.bench import reports_from_csv, reports_from_json
+out = sys.argv[1]
+from_csv = reports_from_csv(f"{out}/bad_bench.csv")
+from_json = reports_from_json(f"{out}/bad_bench.json")
+if from_csv != from_json:
+    sys.exit("bad-knob bench CSV reads back different from its JSON")
+if [r.status for r in from_json] != ["error"] * 3:
+    sys.exit(f"bad-knob bench cells not all error: {[r.status for r in from_json]}")
+print("bad-knob bench: 3 error cells; CSV equals JSON")
 EOF
 echo "quickstart: all checks passed"

@@ -9,8 +9,10 @@ which is what makes them slow.
 
 Each decision is stated once: ``CELL_PARSERS`` says how a CSV cell of each
 manifest type parses, ``_run`` runs every method in the fork child and fills
-its report in, and the report CSV's columns and cell parsers come from
-:class:`RunReport`'s fields.
+its report in, the report CSV's columns and cell parsers come from
+:class:`RunReport`'s fields, and which values a field of :class:`RunConfig`
+or :class:`RunReport` accepts is its annotation, checked by
+:func:`~assemblage_shapley.model.check_fields` when the record is built.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Collection, Mapping, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from .baselines import PRNG_NAME, UtilityEvaluator, _check_samples, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
 from .errors import IngestError, UndefinedMetricError, decoded, read_json, utf8_text
-from .model import Allocation, exact_sum
+from .model import Allocation, check_fields, exact_sum, field_types, has_type
 from .plans import PlanNode, required_columns
 from .shapley import DEFAULT_GAMMA, CaseStats, _check_gamma, iusv_all
 
@@ -276,6 +278,23 @@ def compute_case_rates(stats: CaseStats) -> CaseRates:
 
 # --- timed execution -------------------------------------------------------------
 
+#: The longest timeout in seconds: ``Connection.poll`` waits through poll(2),
+#: which takes its timeout as a C ``int`` of milliseconds, so 2^31 - 1 ms
+#: (about 24.8 days) is the longest wait it can express.
+MAX_TIMEOUT_S = (2**31 - 1) / 1000
+
+
+def _check_timeout(timeout_s: float | None) -> None:
+    """Raise ``ValueError`` unless ``timeout_s`` is ``None`` (no limit) or
+    positive and at most :data:`MAX_TIMEOUT_S`; NaN and infinity are not."""
+    if timeout_s is None:
+        return
+    if not timeout_s > 0:
+        raise ValueError(f"timeout must be positive, got {timeout_s}")
+    if timeout_s > MAX_TIMEOUT_S:
+        raise ValueError(f"timeout must be at most {MAX_TIMEOUT_S} seconds, got {timeout_s}")
+
+
 def _timed_child(conn, fn, args, kwargs):
     try:
         start = time.perf_counter()
@@ -302,8 +321,10 @@ def run_with_timeout(
     is an ``error`` whose payload names it, and a child that dies without
     sending a result is an ``error`` whose payload names its exit code or
     signal. ``timeout_s=None`` sets no time limit; ``fn`` still runs in the
-    forked child.
+    forked child. An invalid ``timeout_s`` raises ``ValueError`` before the
+    fork.
     """
+    _check_timeout(timeout_s)
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_timed_child, args=(child_conn, fn, args, kwargs))
@@ -343,9 +364,10 @@ class RunConfig:
     """One method execution: which algorithm, its knobs, and its timeout.
 
     The class attributes hold the defaults, which the CLI flags share. Every
-    knob is checked here, for every method, by the raiser of the library
-    function that reads it, so a bad value is refused before any input is
-    read."""
+    knob is checked here, for every method: its type against its annotation
+    (:func:`~assemblage_shapley.model.check_fields`), then its value by the
+    raiser of the library function that reads it, so a bad value is refused
+    before any input is read."""
 
     method: str
     gamma: float = DEFAULT_GAMMA
@@ -355,17 +377,18 @@ class RunConfig:
     label: str = ""
 
     def __post_init__(self):
+        check_fields(self)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         _check_gamma(self.gamma)
         _check_samples(self.samples)
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout_s}")
+        _check_timeout(self.timeout_s)
 
 
 @dataclass
 class RunReport:
-    """Everything observed about one run, in serializable form."""
+    """Everything observed about one run, in serializable form. Each field's
+    type is checked against its annotation when the report is built."""
 
     label: str
     method: str
@@ -381,10 +404,13 @@ class RunReport:
     assemble_seconds: float | None = None
     allocation: list[float] | None = None
     allocation_exact: list[str] | None = None
-    metrics: dict = field(default_factory=dict)
-    histogram: dict = field(default_factory=dict)
+    metrics: dict[str, float] = field(default_factory=dict)
+    histogram: dict[str, float] = field(default_factory=dict)
     rng: str | None = None
     error: str | None = None
+
+    def __post_init__(self):
+        check_fields(self)
 
     @classmethod
     def for_config(cls, config: RunConfig, *, status: str = "ok", **fields) -> "RunReport":
@@ -392,12 +418,10 @@ class RunReport:
         return cls(status=status, **asdict(config), **fields)
 
     def exact_allocation(self) -> Allocation | None:
-        """``allocation_exact``, which must be a list of strings of non-negative fractions."""
+        """``allocation_exact``, whose strings must be non-negative fractions."""
         shares = self.allocation_exact
         if shares is None:
             return None
-        if not (isinstance(shares, list) and all(isinstance(v, str) for v in shares)):
-            raise TypeError(f"allocation_exact must be a list of strings, got {shares!r}")
         return Allocation(shares=tuple(Fraction(v) for v in shares))
 
     def to_dict(self) -> dict:
@@ -405,18 +429,12 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunReport":
-        """The report :meth:`to_dict` wrote as ``data``; a ``status`` not in
-        ``STATUSES``, a ``metrics`` or ``histogram`` that is not an object of
-        numbers, or a malformed ``allocation_exact`` raises."""
+        """The report :meth:`to_dict` wrote as ``data``; a field of the wrong
+        type, a ``status`` not in ``STATUSES``, or an ``allocation_exact`` share
+        that is not a non-negative fraction raises."""
         report = cls(**data)
         if report.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {report.status!r}")
-        for name in ("metrics", "histogram"):
-            value = getattr(report, name)
-            if not isinstance(value, dict) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in value.values()
-            ):
-                raise TypeError(f"{name} must be an object of numbers, got {value!r}")
         report.exact_allocation()
         return report
 
@@ -520,20 +538,27 @@ def run_cell(
     cell's plan, owner tables and owner count. Building the config, loading
     and running all happen inside the boundary, so an invalid config or a
     missing file gives this cell status ``error`` and the next cell still runs.
+    The error report keeps each knob of its field's type; any other knob
+    takes ``RunConfig``'s default, and ``method``, which has none, is ``""``.
     """
     try:
         config = RunConfig(**knobs)
         plan, tables, n_owners = load()
         return run_method(config, plan, tables, n_owners=n_owners)
     except Exception as exc:  # noqa: BLE001 - matrix isolation
-        return RunReport(status="error", error=f"{type(exc).__name__}: {exc}", **knobs)
+        hints = field_types(RunConfig)
+        kept = {
+            name: value if has_type(value, hints[name]) else getattr(RunConfig, name, "")
+            for name, value in knobs.items()
+        }
+        return RunReport(status="error", error=f"{type(exc).__name__}: {exc}", **kept)
 
 
 # --- report serialization -----------------------------------------------------------
 
 def _cell_parser(hint) -> Callable[[str], Any]:
     for scalar in (str, int, float):
-        if hint is scalar or scalar in get_args(hint):
+        if hint in (scalar, scalar | None):
             return scalar
     return json.loads
 
@@ -541,9 +566,9 @@ def _cell_parser(hint) -> Callable[[str], Any]:
 #: The report CSV's columns, :class:`RunReport`'s fields in order, each with
 #: how its cell parses: a ``str``, ``int`` or ``float`` field (or ``None``) as
 #: such, and every other field as JSON.
-_CSV_PARSERS = {name: _cell_parser(hint) for name, hint in get_type_hints(RunReport).items()}
+_CSV_PARSERS = {name: _cell_parser(hint) for name, hint in field_types(RunReport).items()}
 #: The plain ``str`` fields, whose empty cell is the empty string.
-_TEXT = {name for name, hint in get_type_hints(RunReport).items() if hint is str}
+_TEXT = {name for name, hint in field_types(RunReport).items() if hint is str}
 
 
 def reports_to_json(reports: Sequence[RunReport], path: str | Path) -> None:

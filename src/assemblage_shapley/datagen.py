@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from random import Random
 from typing import Mapping, Sequence
@@ -23,10 +23,6 @@ from .errors import read_json
 
 OWNER_MODES = ("EO", "UO")
 ASSIGN_MODES = ("EA", "UA")
-
-#: The values a scenario field of each annotated type accepts; never a ``bool``.
-_FIELD_TYPES = {"str": str, "int": int, "float": (int, float)}
-
 
 @dataclass(frozen=True)
 class AssignmentScenario:
@@ -48,18 +44,15 @@ class AssignmentScenario:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        model.check_fields(self)
         if self.owner_mode not in OWNER_MODES:
             raise ValueError(f"owner_mode must be one of {OWNER_MODES}, got {self.owner_mode!r}")
         if self.assign_mode not in ASSIGN_MODES:
             raise ValueError(f"assign_mode must be one of {ASSIGN_MODES}, got {self.assign_mode!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (self.alpha > 0 and self.beta > 0):  # NaN is not positive
+            raise ValueError(f"alpha and beta must be positive, got {self.alpha} and {self.beta}")
         if self.max_copies < 1:
             raise ValueError(f"max_copies must be >= 1, got {self.max_copies}")
 

@@ -10,11 +10,13 @@ integer numerators keyed by denominator (:func:`exact_sum`), made into one
 
 from __future__ import annotations
 
+import types
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Union, get_args, get_origin, get_type_hints
 
 from .errors import UniverseMismatchError
 
@@ -89,6 +91,44 @@ def value_from_json(data) -> int | str | Fraction:
     if isinstance(data, dict) and set(data) == {"fraction"} and isinstance(data["fraction"], str):
         return Fraction(data["fraction"])
     raise TypeError(f"{data!r} is not an exact value")
+
+
+@cache
+def field_types(cls) -> Mapping[str, Any]:
+    """The resolved annotation of each field of the dataclass ``cls``, in
+    field order; worked out once per class."""
+    hints = get_type_hints(cls)
+    return types.MappingProxyType({f.name: hints[f.name] for f in fields(cls)})
+
+
+def has_type(value, hint) -> bool:
+    """Whether ``value`` fits the annotation ``hint``: a class, ``X | None``,
+    ``list[X]`` or ``dict[K, V]``. An ``int`` fits ``float``, and a ``bool``
+    fits only ``bool``."""
+    origin = get_origin(hint)
+    if origin in (Union, types.UnionType):
+        return any(has_type(value, arg) for arg in get_args(hint))
+    if origin is list:
+        (item,) = get_args(hint)
+        return isinstance(value, list) and all(has_type(v, item) for v in value)
+    if origin is dict:
+        key, item = get_args(hint)
+        return isinstance(value, dict) and all(
+            has_type(k, key) and has_type(v, item) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def check_fields(record) -> None:
+    """Raise ``TypeError`` naming the first field of the dataclass instance
+    ``record`` whose value does not fit its annotation (see :func:`has_type`)."""
+    for name, hint in field_types(type(record)).items():
+        value = getattr(record, name)
+        if not has_type(value, hint):
+            shown = hint.__name__ if isinstance(hint, type) else hint
+            raise TypeError(f"{name} must be {shown}, got {value!r}")
 
 
 class OwnerSet:

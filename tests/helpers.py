@@ -164,14 +164,20 @@ RANDOM_DOMAINS = {
 }
 
 
-def random_owned_tables(rng: Random, n_owners: int = 5) -> list[OwnedTable]:
+def random_owned_tables(
+    rng: Random, n_owners: int = 5, *, blocked: bool = False
+) -> list[OwnedTable]:
     """Small random tables ``a``, ``b`` and ``c`` of :data:`RANDOM_SCHEMAS`,
-    each row held by one or two of ``n_owners`` owners."""
+    each row held by one or two of ``n_owners`` owners. With ``blocked``, each
+    table has its own block of ``n_owners`` owner ids, as
+    :func:`generate_assignment` gives them, so the universe is three blocks
+    wide and no owner holds rows of two tables."""
     held: dict[tuple[str, int], list[tuple]] = {}
-    for name, schema in RANDOM_SCHEMAS.items():
+    for i, (name, schema) in enumerate(RANDOM_SCHEMAS.items()):
+        owners = range(i * n_owners, (i + 1) * n_owners) if blocked else range(n_owners)
         for _ in range(rng.randint(1, 8)):
             row = tuple(rng.choice(RANDOM_DOMAINS[a]) for a in schema)
-            for owner in rng.sample(range(n_owners), rng.randint(1, 2)):
+            for owner in rng.sample(owners, min(rng.randint(1, 2), n_owners)):
                 held.setdefault((name, owner), []).append(row)
     return [
         OwnedTable(name, owner, RANDOM_SCHEMAS[name], tuple(rows))

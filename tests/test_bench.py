@@ -1,4 +1,6 @@
+import csv
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -34,7 +36,7 @@ from assemblage_shapley import (
 from assemblage_shapley.cli import main
 from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
 from assemblage_shapley.bench import (
-    reports_from_csv, reports_from_json, reports_to_csv, reports_to_json, run_cell,
+    _CSV_PARSERS, reports_from_csv, reports_from_json, reports_to_csv, reports_to_json, run_cell,
 )
 
 from helpers import example_counter_tables
@@ -261,6 +263,28 @@ def test_run_with_timeout_without_a_limit_still_runs_in_a_child():
     assert run_with_timeout(_boom, None) == ("error", "RuntimeError: kaput", None)
 
 
+@pytest.mark.parametrize("timeout_s", [0.0, float("nan"), float("inf"), 1e7])
+def test_run_with_timeout_refuses_an_invalid_timeout_before_forking(timeout_s):
+    # poll(2) takes at most 2^31 - 1 ms; past it, or at NaN, poll raises
+    with pytest.raises(ValueError, match=r"^timeout must be "):
+        run_with_timeout(time.sleep, timeout_s, 0.5)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [{"gamma": True}, {"seed": "x"}, {"samples": 2.5}, {"label": 3}, {"timeout_s": "9"},
+     {"method": None}],
+    ids=["gamma-true", "seed-text", "samples-float", "label-int", "timeout-text", "no-method"],
+)
+def test_run_config_refuses_a_knob_of_the_wrong_type(knob):
+    (name,) = knob
+    with pytest.raises(TypeError, match=f"^{name} must be "):
+        RunConfig(**{"method": "iusv", **knob})
+    # an int is a float
+    assert RunConfig(method="iusv", gamma=1, timeout_s=30).gamma == 1
+
+
 # --- run_method / run_cell ----------------------------------------------------------------
 
 def test_run_method_iusv_report_fields():
@@ -412,6 +436,27 @@ def _golden_reports():
     return [replace(r, runtime_seconds=None, assemble_seconds=0.125) for r in reports]
 
 
+def _write_malformed(path, report: RunReport, bad: dict) -> None:
+    """Write ``report`` to the ``.json`` or ``.csv`` file ``path``, then put
+    the fields in ``bad`` into the file as the report writers would have
+    written them: a report that holds them cannot be built."""
+    if path.suffix == ".json":
+        reports_to_json([report], path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data[0].update(bad)
+        path.write_text(json.dumps(data, indent=1, sort_keys=True), encoding="utf-8")
+        return
+    reports_to_csv([report], path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for name, value in bad.items():
+        rows[0][name] = json.dumps(value) if _CSV_PARSERS[name] is json.loads else str(value)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def test_reports_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "reports.csv"
     reports_to_csv(_golden_reports(), path)
@@ -433,9 +478,8 @@ def test_reports_csv_bytes_are_pinned(tmp_path):
     ids=["share-x", "zero-denominator", "int-shares", "samples-text"],
 )
 def test_reports_from_csv_checks_reports_like_json(tmp_path, bad):
-    report = replace(_golden_reports()[0], **bad)
     path = tmp_path / "reports.csv"
-    reports_to_csv([report], path)
+    _write_malformed(path, _golden_reports()[0], bad)
     with pytest.raises(IngestError, match=r"^malformed report file: ") as exc_info:
         reports_from_csv(path)
     assert exc_info.value.path == str(path)
@@ -449,15 +493,18 @@ def test_reports_from_csv_checks_reports_like_json(tmp_path, bad):
         {"metrics": {"error_rate": "0.5"}},
         {"histogram": {"general": True}},
         {"histogram": None},
+        {"n_owners": "x"},
+        {"gamma": "g"},
+        {"n_tuples": [1]},
     ],
-    ids=["status-text", "metrics-text", "metric-text", "histogram-bool", "histogram-null"],
+    ids=["status-text", "metrics-text", "metric-text", "histogram-bool", "histogram-null",
+         "n-owners-text", "gamma-text", "n-tuples-list"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_report_files_check_status_metrics_and_histogram(tmp_path, bad, fmt):
-    write, read = {"csv": (reports_to_csv, reports_from_csv),
-                   "json": (reports_to_json, reports_from_json)}[fmt]
+    read = {"csv": reports_from_csv, "json": reports_from_json}[fmt]
     path = tmp_path / f"reports.{fmt}"
-    write([RunReport.for_config(RunConfig(method="iusv"), **bad)], path)
+    _write_malformed(path, RunReport.for_config(RunConfig(method="iusv")), bad)
     with pytest.raises(IngestError, match=r"^malformed report file: ") as exc_info:
         read(path)
     assert exc_info.value.path == str(path)

@@ -332,6 +332,33 @@ def test_bench_refuses_unknown_cell_keys_and_invalid_knobs_per_cell(tmp_path):
     assert reports[0]["gamma"] == 1.0 and reports[1]["gamma"] == 0
 
 
+def test_bench_reports_knobs_of_the_wrong_type_as_valid_error_reports(tmp_path):
+    outdir = _gen(tmp_path)
+    rc = _bench(
+        tmp_path,
+        outdir,
+        [
+            {"label": "no-method"},
+            {"label": "g-true", "method": "iusv", "gamma": True},
+            {"label": "s-text", "method": "iusv", "seed": "x"},
+            {"label": "after", "method": "iusv"},
+        ],
+    )
+    assert rc == 0
+    reports = json.loads((tmp_path / "bench.json").read_text())
+    assert [r["status"] for r in reports] == ["error", "error", "error", "ok"]
+    assert [r["error"] for r in reports[:3]] == [
+        "TypeError: method must be str, got None",
+        "TypeError: gamma must be float, got True",
+        "TypeError: seed must be int, got 'x'",
+    ]
+    # a knob of the wrong type is reported at its default, a missing method as ""
+    assert reports[0]["method"] == "" and reports[0]["label"] == "no-method"
+    assert reports[1]["gamma"] == 1.0 and reports[2]["seed"] == 0
+    from_json = bench.reports_from_json(tmp_path / "bench.json")
+    assert bench.reports_from_csv(tmp_path / "bench.csv") == from_json
+
+
 def test_bench_writes_reports_after_every_cell(tmp_path, monkeypatch):
     outdir = _gen(tmp_path)
     real_run_method = bench.run_method
@@ -547,7 +574,10 @@ def test_gen_reports_a_malformed_scenario_cleanly(tmp_path, capsys, text):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--k", "0"], ["--alpha", "-1"], ["--m", "0"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--k", "0"], ["--alpha", "-1"], ["--m", "0"], ["--alpha", "nan"], ["--beta", "nan"]],
+)
 def test_gen_reports_invalid_scenario_flags_cleanly(tmp_path, capsys, flags):
     out = tmp_path / "owners"
     assert main(["gen", str(DATA / "items.csv"), *flags, "--out", str(out)]) == 2
@@ -641,8 +671,11 @@ def test_shapley_refuses_a_coalition_utility_of_true(tmp_path, capsys):
         ("--gamma", "-1", "gamma must be positive, got -1.0"),
         ("--gamma", "nan", "gamma must be positive, got nan"),
         ("--samples", "0", "need at least one sample, got 0"),
+        ("--timeout", "nan", "timeout must be positive, got nan"),
+        ("--timeout", "inf", "timeout must be at most 2147483.647 seconds, got inf"),
+        ("--timeout", "1e7", "timeout must be at most 2147483.647 seconds, got 10000000.0"),
     ],
-    ids=["0", "-1", "gamma-0", "gamma--1", "gamma-nan", "samples-0"],
+    ids=["0", "-1", "gamma-0", "gamma--1", "gamma-nan", "samples-0", "nan", "inf", "1e7"],
 )
 def test_shapley_reports_an_invalid_timeout_cleanly(tmp_path, capsys, flag, value, message):
     # every knob is checked for every method, iusv's samples too, and before
@@ -710,9 +743,11 @@ def test_shapley_accepts_a_coalition_at_the_owner_cap(tmp_path):
 
 
 def _report_text(allocation_exact) -> str:
-    """A report file of one iusv report with ``allocation_exact``."""
-    report = bench.RunReport.for_config(RunConfig(method="iusv"), allocation_exact=allocation_exact)
-    return json.dumps([report.to_dict()])
+    """A report file of one iusv report with ``allocation_exact``, written
+    into the report's dict: a report with a malformed one cannot be built."""
+    data = bench.RunReport.for_config(RunConfig(method="iusv")).to_dict()
+    data["allocation_exact"] = allocation_exact
+    return json.dumps([data])
 
 
 @pytest.mark.parametrize(

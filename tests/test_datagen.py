@@ -137,6 +137,13 @@ def test_owner_ids_are_dense_blocks_per_table():
     assert a.n_owners == 6
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_scenario_refuses_a_nan_exponent(field):
+    # a NaN exponent would be written into the manifest as NaN, which is not JSON
+    with pytest.raises(ValueError, match=r"^alpha and beta must be positive, got "):
+        AssignmentScenario(**{field: float("nan")})
+
+
 def test_scenario_validation_and_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         AssignmentScenario(owner_mode="XX")

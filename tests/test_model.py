@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from assemblage_shapley import Allocation, OwnerSet, UniverseMismatchError, as_utility
-from assemblage_shapley.model import exact_sum, sum_parts, value_from_json, value_to_json
+from assemblage_shapley.model import (
+    check_fields, exact_sum, has_type, sum_parts, value_from_json, value_to_json,
+)
 
 
 def test_union_and_subset():
@@ -130,3 +133,31 @@ def test_allocation_rejects_negative_share():
 def test_exact_values_roundtrip_through_json_text(value):
     back = value_from_json(json.loads(json.dumps(value_to_json(value))))
     assert back == value and type(back) is type(value)
+
+
+@pytest.mark.parametrize(
+    "value, hint, fits",
+    [
+        (1, float, True), (1.5, float, True), (True, float, False), (True, int, False),
+        (True, bool, True), (2.0, int, False), ("1", int, False),
+        (None, int | None, True), (3, int | None, True), ("3", int | None, False),
+        (["a"], list[str], True), ([1], list[str], False), ("a", list[str], False),
+        ({"a": 1}, dict[str, float], True), ({"a": True}, dict[str, float], False),
+        ({1: 1.0}, dict[str, float], False), ([], dict[str, float], False),
+    ],
+)
+def test_has_type(value, hint, fits):
+    assert has_type(value, hint) is fits
+
+
+def test_check_fields_names_the_field():
+    @dataclass
+    class Record:
+        n: int
+        shares: list[float] | None = None
+
+    check_fields(Record(1, [1, 0.5]))
+    with pytest.raises(TypeError, match=r"^shares must be list\[float\] \| None, got \['x'\]$"):
+        check_fields(Record(1, ["x"]))
+    with pytest.raises(TypeError, match=r"^n must be int, got True$"):
+        check_fields(Record(True))
