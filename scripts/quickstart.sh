@@ -17,14 +17,15 @@
 # gen --k of 5000 (10 001 owners, over the 4096 cap), a manifest whose
 # scenario has an unknown field, a manifest that does not exist, a
 # coalition set over more than 4096 owners, a coalition set that is not
-# UTF-8, a shapley --timeout of 0 or nan, a shapley --gamma of 0 (refused
-# before its inputs are read), a perm --samples of 0 and a reference report
-# one owner short. Both iusv routes must give the same exact allocation,
-# owner files with a repeated line must assemble to the same bytes, the perm
-# run must report an error rate, and the bench matrix's CSV must read back
-# equal to its JSON, with every cell ok. A second matrix, of a cell with no
-# method, one with gamma true and one with seed "x", must report each cell
-# as an error, and its CSV must read back equal to its JSON too.
+# UTF-8, a coalition set with an owner index of true, a shapley --timeout
+# of 0 or nan, a shapley --gamma of 0 (refused before its inputs are read),
+# a perm --samples of 0 and a reference report one owner short. Both iusv
+# routes must give the same exact allocation, owner files with a repeated
+# line must assemble to the same bytes, the perm run must report an error
+# rate, and the bench matrix's CSV must read back equal to its JSON, with
+# every cell ok. A second matrix, of a cell with no method, one with gamma
+# true and one with seed "x", must report each cell as an error, and its CSV
+# must read back equal to its JSON too.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -107,6 +108,11 @@ expect_error "coalition over 4097 owners" shapley --method iusv \
 printf '\xff\xfe{}' > "$out/utf16_coalition.json"
 expect_error "coalition set that is not UTF-8" shapley --method iusv \
   --coalition "$out/utf16_coalition.json" --out "$out/utf16.json"
+
+echo '{"schema": ["x"], "n_owners": 3,
+  "tuples": [{"values": [1], "utility": "1", "syntheses": [[true], [2]]}]}' > "$out/true_owner.json"
+expect_error "coalition with an owner of true" shapley --method iusv \
+  --coalition "$out/true_owner.json" --out "$out/true_owner_report.json"
 
 expect_error "shapley --timeout 0" shapley --method iusv --coalition "$out/coalition.json" \
   --timeout 0 --out "$out/no_time.json"

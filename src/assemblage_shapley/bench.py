@@ -18,6 +18,7 @@ or :class:`RunReport` accepts is its annotation, checked by
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import multiprocessing
 import re
@@ -296,6 +297,9 @@ def _check_timeout(timeout_s: float | None) -> None:
 
 
 def _timed_child(conn, fn, args, kwargs):
+    # The collector then tracks only what the child allocates: it never walks
+    # the heap inherited from the parent, so those pages stay shared.
+    gc.freeze()
     try:
         start = time.perf_counter()
         result = fn(*args, **kwargs)

@@ -5,14 +5,21 @@ each output tuple we carry its syntheses: the owner sets that can jointly
 produce an instance of that tuple. Witness lists are kept in the normal form
 of the why-provenance (PosBool) semiring (Green, Karvounarakis & Tannen, PODS
 2007): an antichain in canonical (cardinality, bits) order. A subsumed witness
-never becomes minimal again under these monotone operators, so each row is
-minimalised once, where its witnesses combine. A scan reads owners in
+never becomes minimal again under these monotone operators, so a row is
+minimalised at most once, where its witnesses combine. A scan reads owners in
 ascending order and collapses an owner's repeated rows (the one place they
-collapse), so its distinct singleton witnesses are already canonical; a
-join minimalises each matching pair's unions, and no two pairs give one row;
-a projection or union minimalises only rows that collide. The output rows are
-checked against the cap, and their masks are wrapped as they stand: a
-``SynthesisSet`` stores int masks, not ``OwnerSet``s.
+collapse), so its distinct singleton witnesses are already canonical. A join
+combines each matching pair's lists, and no two pairs give one row; a
+projection or union combines only rows that collide.
+
+Two lists whose owner unions do not meet combine without minimalising. For a
+join, l1 | r1 ⊆ l2 | r2 over disjoint owners forces l1 ⊆ l2 and r1 ⊆ r2, so
+the unions of two antichains are distinct and none contains another; for a
+merge, a non-empty mask cannot lie inside a mask over the other list's owners.
+Either way only the canonical order is left to restore. Lists whose owners
+meet are minimalised. The output rows are checked against the cap, and each
+distinct list is wrapped once, as it stands, in a ``SynthesisSet`` shared by
+every row that has it: a ``SynthesisSet`` stores int masks, not ``OwnerSet``s.
 
 The ``plans`` module owns the column layout. The whole plan is type-checked
 and laid out once, by ``plans.plan_layout``, before any row is read, and the
@@ -24,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import model
@@ -90,14 +98,77 @@ class OwnedTable:
         return len(self.rows)
 
 
+def _canonical(mask: int) -> tuple[int, int]:
+    """The (cardinality, bits) key of the canonical order."""
+    return mask.bit_count(), mask
+
+
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
     """Deduplicated subset-minimal elements, sorted by (cardinality, bits)."""
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    ordered = sorted(set(masks), key=_canonical)
     kept: list[int] = []
     for m in ordered:
         if not any(k & m == k for k in kept):
             kept.append(m)
     return kept
+
+
+def _owners(masks: Iterable[int]) -> int:
+    """The union of ``masks``."""
+    bits = 0
+    for m in masks:
+        bits |= m
+    return bits
+
+
+def _profile(masks: list[int]) -> tuple[int, int]:
+    """The owner union of the non-empty canonical antichain ``masks``, and the
+    cardinality all its masks share, or -1 where they differ."""
+    low, high = masks[0].bit_count(), masks[-1].bit_count()
+    return _owners(masks), (low if low == high else -1)
+
+
+def _join_masks(
+    lmasks: list[int], lprofile: tuple[int, int], rmasks: list[int], rprofile: tuple[int, int]
+) -> list[int]:
+    """The canonical antichain of the unions of ``lmasks`` × ``rmasks``, two
+    canonical antichains of the given :func:`_profile`."""
+    (lowners, lcard), (rowners, rcard) = lprofile, rprofile
+    if lowners & rowners:
+        return _minimal_masks(lm | rm for lm in lmasks for rm in rmasks)
+    # disjoint owners: an antichain already, only its order is left
+    out = [lm | rm for lm in lmasks for rm in rmasks]
+    if lcard < 0 or rcard < 0:
+        out.sort(key=_canonical)
+    else:  # every union has lcard + rcard owners
+        out.sort()
+    return out
+
+
+def _merge_masks(have: list[int], masks: list[int]) -> list[int]:
+    """The canonical antichain of the minimal masks of two canonical
+    antichains ``have`` and ``masks``."""
+    (howners, hcard), (mowners, mcard) = _profile(have), _profile(masks)
+    if howners & mowners:
+        return _minimal_masks(have + masks)
+    # disjoint owners: an antichain already, only its order is left
+    out = have + masks
+    if hcard == mcard >= 0:
+        out.sort()
+    else:
+        out.sort(key=_canonical)
+    return out
+
+
+def _getter(positions: tuple[int, ...]) -> Callable[[Row], Row]:
+    """A function from a row to the tuple of its values at ``positions``;
+    ``itemgetter`` alone returns a bare value for one position."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 def _synthesis_masks(syntheses: Sequence[OwnerSet]) -> list[int]:
@@ -151,10 +222,7 @@ class SynthesisSet:
 
     def owners(self) -> OwnerSet:
         """Union of all minimal syntheses: the only owners with nonzero value."""
-        bits = 0
-        for m in self.bits:
-            bits |= m
-        return OwnerSet(self.width, bits)
+        return OwnerSet(self.width, _owners(self.bits))
 
     def masks(self) -> tuple[int, ...]:
         return self.bits
@@ -245,16 +313,14 @@ def _cap_error(row: Row, count: int, node: PlanNode) -> SynthesisLimitError:
 
 
 def _merged(sources, node: PlanNode) -> Relation:
-    """One relation of the (row, masks) pairs of ``sources``, minimalizing
-    rows that collide; it stores the lists it is given and changes none."""
+    """One relation of the (row, masks) pairs of ``sources``, combining rows
+    that collide; it stores the lists it is given and changes none."""
     dest: Relation = {}
     for items in sources:
         for row, masks in items:
-            have = dest.get(row)
-            if have is None:
-                dest[row] = masks
-            else:
-                merged = _minimal_masks(have + masks)
+            have = dest.setdefault(row, masks)
+            if have is not masks:  # each list is one row's, so this row collides
+                merged = _merge_masks(have, masks)
                 if len(merged) > DEFAULT_MAX_SYNTHESES:
                     raise _cap_error(row, len(merged), node)
                 dest[row] = merged
@@ -300,35 +366,39 @@ def evaluate_plan(
             rel: Relation = {}
             for t in by_name[node.table]:  # ascending owners
                 mask = 1 << t.owner
-                for row in t.rows:
-                    if any(row[i] != v for i, v in lay.where):
-                        continue
-                    masks = rel.setdefault(row, [])
+                rows = t.rows
+                if lay.where:
+                    rows = [r for r in rows if not any(r[i] != v for i, v in lay.where)]
+                for row in rows:
+                    masks = rel.setdefault(row, [])  # hashes the row once
                     if not masks or masks[-1] != mask:  # an owner's repeated row
                         masks.append(mask)
             return rel
 
         if isinstance(node, Project):
-            idx = lay.columns
-            projected = ((tuple(row[i] for i in idx), masks) for row, masks in rels[0].items())
-            return _merged([projected], node)
+            get = _getter(lay.columns)
+            return _merged([((get(row), masks) for row, masks in rels[0].items())], node)
 
         if isinstance(node, (NaturalJoin, EquiJoin)):
             lrel, rrel = rels
-            lkey, rkey, rkeep = lay.left_key, lay.right_key, lay.right_keep
+            lkey, rkey = _getter(lay.left_key), _getter(lay.right_key)
+            rkeep = _getter(lay.right_keep)
 
-            index: dict[Row, list[tuple[Row, list[int]]]] = {}
+            # right rows by key, each with its kept columns, masks and profile
+            index: dict[Row, list[tuple[Row, list[int], tuple[int, int]]]] = {}
             for rrow, rmasks in rrel.items():
-                key = tuple(rrow[i] for i in rkey)
-                index.setdefault(key, []).append((rrow, rmasks))
+                index.setdefault(rkey(rrow), []).append((rkeep(rrow), rmasks, _profile(rmasks)))
 
             out: Relation = {}
             for lrow, lmasks in lrel.items():
-                key = tuple(lrow[i] for i in lkey)
-                for rrow, rmasks in index.get(key, ()):
-                    # rrow is its key plus its kept columns: rows never collide
-                    row = lrow + tuple(rrow[i] for i in rkeep)
-                    combined = _minimal_masks(lm | rm for lm in lmasks for rm in rmasks)
+                matches = index.get(lkey(lrow))
+                if matches is None:
+                    continue
+                lprofile = _profile(lmasks)
+                for kept, rmasks, rprofile in matches:
+                    # a right row is its key plus its kept columns: rows never collide
+                    row = lrow + kept
+                    combined = _join_masks(lmasks, lprofile, rmasks, rprofile)
                     if len(combined) > cap:
                         raise _cap_error(row, len(combined), node)
                     out[row] = combined
@@ -341,11 +411,17 @@ def evaluate_plan(
 
     tuples = []
     one = Fraction(1)  # the default utility, shared by every row
+    # one frozen SynthesisSet per distinct list, shared by every row with it
+    shared: dict[tuple[int, ...], SynthesisSet] = {}
     for row, masks in rel.items():
-        # the only cap check for scan rows and rows no projection merged
-        if len(masks) > cap:
-            raise _cap_error(row, len(masks), plan)
-        syntheses = SynthesisSet._trusted(n_owners, tuple(masks))
+        key = tuple(masks)
+        syntheses = shared.get(key)
+        if syntheses is None:
+            # the only cap check for scan rows and rows no projection merged;
+            # the first row with an over-cap list is the first over the cap
+            if len(key) > cap:
+                raise _cap_error(row, len(key), plan)
+            syntheses = shared[key] = SynthesisSet._trusted(n_owners, key)
         rel[row] = None  # free each list as its tuple is built, to lower the peak
         utility = as_utility(utility_fn(row)) if utility_fn is not None else one
         tuples.append(CoalitionTuple(values=row, utility=utility, syntheses=syntheses))
@@ -385,26 +461,37 @@ def coalition_to_dict(d: CoalitionSet) -> dict:
     }
 
 
+def _owner_index(owner: Any) -> int:
+    """``owner``, an owner index read from JSON; a ``bool`` is not one."""
+    if type(owner) is not int:
+        raise TypeError(f"owner index must be an integer, got {owner!r}")
+    return owner
+
+
 def coalition_from_dict(data: Mapping[str, Any]) -> CoalitionSet:
     """The coalition set in ``data``, as :func:`coalition_to_dict` writes it.
     An ``n_owners`` that is not an integer from 0 to ``model.DEFAULT_MAX_OWNERS``
-    raises ``ValueError``, as :func:`evaluate_plan` would refuse it."""
+    raises ``ValueError``, as :func:`evaluate_plan` would refuse it; so does a
+    tuple whose values do not match the schema in number. An owner index that
+    is not an integer (``true`` included) raises ``TypeError``."""
     n, cap = data["n_owners"], model.DEFAULT_MAX_OWNERS
     if type(n) is not int or not 0 <= n <= cap:
         raise ValueError(f"n_owners must be an integer from 0 to {cap}, got {n!r}")
+    schema = tuple(data["schema"])
     tuples = []
     for item in data["tuples"]:
+        values = tuple(value_from_json(v) for v in item["values"])
+        if len(values) != len(schema):
+            raise ValueError(
+                f"tuple {values!r} has {len(values)} values for a schema of {len(schema)}"
+            )
         syntheses = SynthesisSet.from_sets(
-            OwnerSet.from_indices(n, idxs) for idxs in item["syntheses"]
+            OwnerSet.from_indices(n, map(_owner_index, idxs)) for idxs in item["syntheses"]
         )
         tuples.append(
-            CoalitionTuple(
-                values=tuple(value_from_json(v) for v in item["values"]),
-                utility=as_utility(item["utility"]),
-                syntheses=syntheses,
-            )
+            CoalitionTuple(values=values, utility=as_utility(item["utility"]), syntheses=syntheses)
         )
-    return CoalitionSet(schema=tuple(data["schema"]), tuples=tuple(tuples), n_owners=n)
+    return CoalitionSet(schema=schema, tuples=tuple(tuples), n_owners=n)
 
 
 def dump_coalition(d: CoalitionSet, path) -> None:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import multiprocessing
 import os
@@ -255,6 +256,15 @@ def _sigkill_self():
 def test_run_with_timeout_reports_child_death():
     assert run_with_timeout(_exit_3, 5.0) == ("error", "child exited with code 3", None)
     assert run_with_timeout(_sigkill_self, 5.0) == ("error", "killed by signal 9", None)
+
+
+def test_run_with_timeout_child_collects_only_what_it_allocates():
+    # the child freezes the heap it inherits; the parent's collector is untouched
+    before = gc.get_freeze_count(), gc.isenabled()
+    status, frozen, _ = run_with_timeout(gc.get_freeze_count, 5.0)
+    assert status == "ok" and frozen > before[0]
+    assert run_with_timeout(_boom, 5.0) == ("error", "RuntimeError: kaput", None)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_run_with_timeout_without_a_limit_still_runs_in_a_child():

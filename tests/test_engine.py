@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import assemblage_shapley.engine as engine_module
 import assemblage_shapley.model as model_module
@@ -182,6 +184,7 @@ def test_scan_witnesses_are_canonical_whatever_the_table_order():
 
 
 def test_each_output_row_is_minimalised_once(monkeypatch):
+    # at most once: lists over disjoint owners combine without a pass
     calls = []
     real = engine_module._minimal_masks
     monkeypatch.setattr(
@@ -193,7 +196,46 @@ def test_each_output_row_is_minimalised_once(monkeypatch):
     lefts = [OwnedTable("l", o, ("k", "a"), ((1, "x"), (2, "x"))) for o in range(3)]
     rights = [OwnedTable("r", o + 3, ("k", "b"), ((1, "y"), (2, "y"))) for o in range(3)]
     d = evaluate_plan(NaturalJoin(Scan("l"), Scan("r")), lefts + rights)
-    assert len(d) == 2 and len(calls) == 2  # one per join output row
+    assert len(d) == 2 and calls == []  # an owner-disjoint join
+    others = [OwnedTable("m", o + 3, ("k", "a"), ((1, "x"), (3, "x"))) for o in range(3)]
+    d = evaluate_plan(Union((Scan("l"), Scan("m"))), lefts + others)
+    assert len(d) == 3 and calls == []  # an owner-disjoint merge of row (1, "x")
+    # where owners overlap, one pass per combined row
+    d = evaluate_plan(NaturalJoin(Scan("l"), Scan("l")), lefts)
+    assert len(d) == 2 and len(calls) == 2  # a self-join
+    d = evaluate_plan(Union((Scan("l"), Scan("l"))), lefts)
+    assert len(d) == 2 and len(calls) == 4  # a self-union
+    d = evaluate_plan(Project(NaturalJoin(Scan("l"), Scan("r")), ("a",)), lefts + rights)
+    assert len(d) == 1 and len(calls) == 5  # rows (1, "x", "y") and (2, "x", "y") collide
+
+
+@st.composite
+def _antichain_pair(draw, width=7):
+    """Two canonical antichains, of mixed cardinalities, over owner pools
+    that are disjoint or shared, with their owners interleaved in bit order."""
+    owners = draw(st.permutations(range(width)))
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, width - 1))
+        pools = owners[:cut], owners[cut:]
+    else:
+        pools = owners, owners
+
+    def antichain(pool):
+        sets = st.sets(st.sampled_from(pool), min_size=1, max_size=4)
+        masks = draw(st.lists(sets.map(lambda s: sum(1 << o for o in s)), min_size=1, max_size=5))
+        return engine_module._minimal_masks(masks)
+
+    return antichain(pools[0]), antichain(pools[1])
+
+
+@given(_antichain_pair())
+def test_combined_lists_equal_their_minimal_masks(pair):
+    left, right = pair
+    minimal = engine_module._minimal_masks
+    profiles = engine_module._profile(left), engine_module._profile(right)
+    joined = engine_module._join_masks(left, profiles[0], right, profiles[1])
+    assert joined == minimal(lm | rm for lm in left for rm in right)
+    assert engine_module._merge_masks(left, right) == minimal(left + right)
 
 
 def test_output_witnesses_stay_masks(monkeypatch):
@@ -208,6 +250,7 @@ def test_output_witnesses_stay_masks(monkeypatch):
     rights = [OwnedTable("r", o + 3, ("k", "b"), ((1, "y"), (2, "y"))) for o in range(3)]
     d = evaluate_plan(NaturalJoin(Scan("l"), Scan("r")), lefts + rights)
     assert built == []  # 2 rows of 9 witnesses each, none an OwnerSet
+    assert d.tuples[0].syntheses is d.tuples[1].syntheses  # one list, wrapped once
     # iterating builds them, from the stored masks
     assert [s.bits for s in d.tuples[0].syntheses] == list(d.tuples[0].syntheses.masks())
     assert len(built) == 9
@@ -501,37 +544,59 @@ def test_restrict_tables_keeps_universe_width():
     assert len(d) == 0
 
 
+def _check_witnesses(plan, tables, n_owners, order_rng) -> int:
+    """Check that every witness of ``plan``'s coalition set is sound and
+    minimal, and return how many were checked."""
+    checked = 0
+    d = evaluate_plan(plan, tables, n_owners=n_owners)
+    # the input order of the tables changes nothing, not even tuple order
+    for order in (tables[::-1], order_rng.sample(tables, len(tables))):
+        assert evaluate_plan(plan, order, n_owners=n_owners) == d
+    assert pickle.loads(pickle.dumps(d)) == d
+    for t in d:
+        # the unvalidated output passes the public validating constructor
+        assert SynthesisSet(t.syntheses.syntheses) == t.syntheses
+        assert hash(SynthesisSet(t.syntheses.syntheses)) == hash(t.syntheses)
+        assert {(type(syn), syn.width) for syn in t.syntheses} == {(OwnerSet, n_owners)}
+        for syn in t.syntheses:
+            sub = evaluate_plan(
+                plan, restrict_tables(tables, syn), n_owners=n_owners
+            )
+            assert t.values in {x.values for x in sub}, "witness cannot produce tuple"
+            members = list(syn)
+            for drop in members:
+                smaller = OwnerSet.from_indices(
+                    n_owners, [m for m in members if m != drop]
+                )
+                sub2 = evaluate_plan(
+                    plan, restrict_tables(tables, smaller), n_owners=n_owners
+                )
+                assert t.values not in {x.values for x in sub2}, "witness not minimal"
+            checked += 1
+    return checked
+
+
 def test_witness_soundness_and_minimality_on_random_instances():
     rng = Random("witness-soundness")
     order_rng = Random("table-order")
     checked = 0
     for _ in range(40):
         plan, tables, n_owners = random_mini_dataset(rng)
-        d = evaluate_plan(plan, tables, n_owners=n_owners)
-        # the input order of the tables changes nothing, not even tuple order
-        for order in (tables[::-1], order_rng.sample(tables, len(tables))):
-            assert evaluate_plan(plan, order, n_owners=n_owners) == d
-        assert pickle.loads(pickle.dumps(d)) == d
-        for t in d:
-            # the unvalidated output passes the public validating constructor
-            assert SynthesisSet(t.syntheses.syntheses) == t.syntheses
-            assert hash(SynthesisSet(t.syntheses.syntheses)) == hash(t.syntheses)
-            assert {(type(syn), syn.width) for syn in t.syntheses} == {(OwnerSet, n_owners)}
-            for syn in t.syntheses:
-                sub = evaluate_plan(
-                    plan, restrict_tables(tables, syn), n_owners=n_owners
-                )
-                assert t.values in {x.values for x in sub}, "witness cannot produce tuple"
-                members = list(syn)
-                for drop in members:
-                    smaller = OwnerSet.from_indices(
-                        n_owners, [m for m in members if m != drop]
-                    )
-                    sub2 = evaluate_plan(
-                        plan, restrict_tables(tables, smaller), n_owners=n_owners
-                    )
-                    assert t.values not in {x.values for x in sub2}, "witness not minimal"
-                checked += 1
+        checked += _check_witnesses(plan, tables, n_owners, order_rng)
+    assert checked > 50
+
+
+def test_witness_soundness_and_minimality_on_blocked_random_plans():
+    # one owner block per table: joins and merges of different tables combine
+    # lists over disjoint owners, and repeated scans of one table over shared ones
+    rng = Random("witness-soundness-blocked")
+    order_rng = Random("table-order")
+    checked = 0
+    for _ in range(60):
+        block = rng.randint(1, 2)
+        plan = random_plan(rng, depth=rng.randint(1, 4))
+        tables = random_owned_tables(rng, block, blocked=True)
+        checked += _check_witnesses(plan, tables, 3 * block, order_rng)
     assert checked > 50
 
 
@@ -605,5 +670,29 @@ def test_values_outside_the_codec_are_refused_in_plans_and_coalition_sets(tmp_pa
         "tuples": [{"values": [json.loads(text)], "utility": "1", "syntheses": [[0]]}],
     }))
     with pytest.raises(IngestError, match="^malformed coalition set: .*is not an exact value") as e:
+        load_coalition(path)
+    assert e.value.path == str(path)
+
+
+@pytest.mark.parametrize(
+    "tuple_item, message",
+    [
+        ({"values": [1], "syntheses": [[True], [2]]}, "owner index must be an integer, got True"),
+        ({"values": [1], "syntheses": [[False]]}, "owner index must be an integer, got False"),
+        ({"values": [1], "syntheses": [[1.0]]}, "owner index must be an integer, got 1.0"),
+        ({"values": [1], "syntheses": [["1"]]}, "owner index must be an integer, got '1'"),
+        ({"values": [1, 2], "syntheses": [[0]]}, r"tuple \(1, 2\) has 2 values for a schema of 1"),
+        ({"values": [], "syntheses": [[0]]}, r"tuple \(\) has 0 values for a schema of 1"),
+    ],
+    ids=["owner-true", "owner-false", "owner-float", "owner-text", "values-long", "values-empty"],
+)
+def test_coalition_files_refuse_bool_owners_and_values_off_the_schema(
+    tmp_path, tuple_item, message
+):
+    path = tmp_path / "coalition.json"
+    path.write_text(json.dumps({
+        "schema": ["x"], "n_owners": 3, "tuples": [{"utility": "1", **tuple_item}],
+    }))
+    with pytest.raises(IngestError, match=rf"^malformed coalition set: \w+: {message} \[") as e:
         load_coalition(path)
     assert e.value.path == str(path)
