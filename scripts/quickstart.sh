@@ -12,20 +12,20 @@
 #
 # Each malformed or missing input must print error: and exit 2 with no
 # traceback: a plan with a missing field, a plan whose where constant is
-# true, a bad cell in a column the plan projects away, a scenario that is
-# not JSON, a scenario whose max_copies is 1.5, a gen --alpha of nan, a
-# gen --k of 5000 (10 001 owners, over the 4096 cap), a manifest whose
-# scenario has an unknown field, a manifest that does not exist, a
-# coalition set over more than 4096 owners, a coalition set that is not
-# UTF-8, a coalition set with an owner index of true, a shapley --timeout
-# of 0 or nan, a shapley --gamma of 0 (refused before its inputs are read),
-# a perm --samples of 0 and a reference report one owner short. Both iusv
-# routes must give the same exact allocation, owner files with a repeated
-# line must assemble to the same bytes, the perm run must report an error
-# rate, and the bench matrix's CSV must read back equal to its JSON, with
-# every cell ok. A second matrix, of a cell with no method, one with gamma
-# true and one with seed "x", must report each cell as an error, and its CSV
-# must read back equal to its JSON too.
+# true, a plan whose scan spells where "wehre", a bad cell in a column the
+# plan projects away, a scenario that is not JSON, a scenario whose
+# max_copies is 1.5, a gen --alpha of nan, a gen --k of 5000 (10 001 owners,
+# over the 4096 cap), a manifest whose scenario has an unknown field, a
+# manifest that does not exist, a coalition set over more than 4096 owners,
+# a coalition set that is not UTF-8, a coalition set with an owner index of
+# true, a shapley --timeout of 0 or nan, a shapley --gamma of 0 (refused
+# before its inputs are read), a perm --samples of 0 and a reference report
+# one owner short. Both iusv routes must give the same exact allocation,
+# owner files with a repeated line must assemble to the same bytes, the perm
+# run must report an error rate, and the bench matrix's CSV must read back
+# equal to its JSON, with every cell ok. A second matrix, of a cell with no
+# method, one with gamma true and one with seed "x", must report each cell
+# as an error, and its CSV must read back equal to its JSON too.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -63,6 +63,10 @@ expect_error "plan with a missing field" assemble --manifest "$out/owners/manife
 echo '{"op": "scan", "table": "items", "where": {"category": true}}' > "$out/bool_plan.json"
 expect_error "plan with a true where constant" assemble \
   --manifest "$out/owners/manifest.json" --plan "$out/bool_plan.json" --out "$out/bad.json"
+
+echo '{"op": "scan", "table": "items", "wehre": {"category": "c1"}}' > "$out/wehre_plan.json"
+expect_error "plan with an unknown key" assemble \
+  --manifest "$out/owners/manifest.json" --plan "$out/wehre_plan.json" --out "$out/bad.json"
 
 # A cell the plan projects away is not parsed but is still checked.
 mkdir -p "$out/bad_price"

@@ -32,7 +32,7 @@ from .baselines import PRNG_NAME, UtilityEvaluator, _check_samples, perm_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
 from .errors import IngestError, UndefinedMetricError, decoded, read_json, utf8_text
-from .model import Allocation, check_fields, exact_sum, field_types, has_type
+from .model import Allocation, check_fields, exact_sum, field_types, has_type, json_object
 from .plans import PlanNode, required_columns
 from .shapley import DEFAULT_GAMMA, CaseStats, _check_gamma, iusv_all
 
@@ -100,8 +100,9 @@ def _read_csv(
     """The header and typed rows of one CSV file; ``types`` maps attributes
     to cell types. With ``schema``, the header must equal it. With ``read``,
     only the cells at those positions are parsed; every other cell is checked
-    and stored as ``None``. An unknown type, a missing header, a row with the
-    wrong number of fields or a bad cell, parsed or checked, raises
+    and stored as ``None``. An unknown type, a missing header, a typed
+    attribute not in the header, a row with the wrong number of fields or a
+    bad cell, parsed or checked, raises
     :class:`IngestError` naming the file and line; a file that is not UTF-8
     raises one naming the file."""
     for attr, kind in types.items():
@@ -117,6 +118,9 @@ def _read_csv(
             ) from None
         if schema is not None and header != schema:
             raise IngestError("owner file header disagrees with manifest", path=str(path), line=1)
+        unknown = [attr for attr in types if attr not in header]
+        if unknown:
+            raise IngestError(f"types {unknown} are not in the header", path=str(path), line=1)
         kinds = [types.get(a, "string") for a in header]
         parsers = [
             CELL_PARSERS[kind] if read is None or i in read else _CELL_CHECKS[kind]
@@ -184,11 +188,10 @@ def load_assignment(
 ) -> tuple[list[OwnedTable], int, AssignmentScenario | None]:
     """Load the owner tables written by :func:`write_assignment`.
 
-    A manifest that is not JSON, or lacks an integer ``n_owners`` or a
-    ``tables`` object whose entries each hold a ``schema`` list, an optional
-    ``types`` object and an ``owners`` object from owner indices to file
-    names, or holds a ``scenario`` that is not a valid scenario object,
-    raises :class:`IngestError` naming the manifest.
+    A manifest that is not JSON, or not an object of an integer ``n_owners``,
+    a ``tables`` object and an optional ``scenario`` (see
+    :func:`_manifest_tables`), or whose ``scenario`` is not a valid scenario
+    object, raises :class:`IngestError` naming the manifest.
 
     With ``plan``, the plan is checked against the manifest's schemas before
     any owner file is opened, and only the cells it reads
@@ -197,50 +200,40 @@ def load_assignment(
     keeps its schema and row width and the plan's output is unchanged.
     """
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path, "manifest")
-    _check_manifest(manifest, manifest_path)
+    n_owners, entries, scenario_data = read_json(manifest_path, "manifest", _manifest_tables)
     scenario = None
-    if manifest.get("scenario"):
-        scenario = decoded(
-            manifest_path, "scenario", AssignmentScenario.from_dict, manifest["scenario"]
-        )
+    if scenario_data:
+        scenario = decoded(manifest_path, "scenario", AssignmentScenario.from_dict, scenario_data)
     reads = None
     if plan is not None:
-        catalog = {name: tuple(entry["schema"]) for name, entry in manifest["tables"].items()}
-        reads = required_columns(plan, catalog)
+        reads = required_columns(plan, {name: entry[0] for name, entry in entries.items()})
     base = manifest_path.parent
     tables: list[OwnedTable] = []
-    for name, entry in sorted(manifest["tables"].items()):
-        schema = tuple(entry["schema"])
-        types = entry.get("types", {})
+    for name, (schema, types, owners) in sorted(entries.items()):
         read = None if reads is None else reads.get(name, ())
-        for owner_str, fname in sorted(entry["owners"].items(), key=lambda kv: int(kv[0])):
+        for owner_str, fname in sorted(owners.items(), key=lambda kv: int(kv[0])):
             _, rows = _read_csv(base / fname, types, schema=schema, read=read)
             tables.append(OwnedTable(table=name, owner=int(owner_str), schema=schema, rows=rows))
-    return tables, manifest["n_owners"], scenario
+    return tables, n_owners, scenario
 
 
-def _check_manifest(manifest: Any, path: Path) -> None:
-    tables = manifest.get("tables") if isinstance(manifest, dict) else None
-    # type(...) is int: a JSON true is a bool, which isinstance takes as an int
-    if not (isinstance(tables, dict) and type(manifest.get("n_owners")) is int):
-        raise IngestError(
-            'manifest needs an integer "n_owners" and a "tables" object', path=str(path)
-        )
-    for name, entry in tables.items():
-        entry = entry if isinstance(entry, dict) else {}
-        owners = entry.get("owners")
-        if not (
-            isinstance(entry.get("schema"), list)
-            and isinstance(entry.get("types", {}), dict)
-            and isinstance(owners, dict)
-            and all(k.isdecimal() and isinstance(f, str) for k, f in owners.items())
-        ):
-            raise IngestError(
-                f'manifest table {name!r} needs a "schema" list, an optional "types" '
-                'object and an "owners" object from owner indices to file names',
-                path=str(path),
-            )
+def _manifest_tables(manifest: Any) -> tuple[int, dict[str, tuple], Any]:
+    """The ``n_owners``, the tables (each as its schema, types and owners) and
+    the ``scenario`` of ``manifest``, which holds only the keys
+    :func:`write_assignment` writes, each of its JSON type."""
+    json_object(manifest, "manifest", n_owners=int, tables=dict, scenario=Any)
+    tables = {}
+    for name, entry in manifest["tables"].items():
+        json_object(entry, "manifest table", schema=list[str], types=dict[str, str],
+                    owners=dict[str, str])
+        schema, types, owners = tuple(entry["schema"]), entry.get("types", {}), entry["owners"]
+        if not all(key.isdecimal() for key in owners):
+            raise ValueError(f"manifest table {name!r} has owner keys that are not owner indices")
+        unknown = [attr for attr in types if attr not in schema]
+        if unknown:
+            raise ValueError(f"manifest table {name!r} types {unknown}, not in its schema")
+        tables[name] = (schema, types, owners)
+    return manifest["n_owners"], tables, manifest.get("scenario")
 
 
 # --- metrics --------------------------------------------------------------------

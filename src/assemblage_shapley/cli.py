@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from pathlib import Path
+from typing import Any
 
 from .bench import (
     METHODS,
@@ -34,21 +36,29 @@ from .bench import (
 )
 from .datagen import ASSIGN_MODES, OWNER_MODES, AssignmentScenario, generate_assignment
 from .engine import dump_coalition, evaluate_plan, load_coalition
-from .errors import AssemblageError, IngestError, read_json
+from .errors import AssemblageError, read_json
+from .model import json_object
 from .plans import load_plan
 
 
-def _load_schema_config(path: str | None) -> tuple[dict, dict[str, dict[str, str]]]:
-    """A ``gen --schema`` file, which must be an object of tables each with an
-    optional ``types`` object, and those types by table. Their type names are
-    checked on ingest."""
+def _load_schema_config(
+    path: str | None, csv_paths: list[str]
+) -> tuple[dict, dict[str, dict[str, str]]]:
+    """A ``gen --schema`` file, and its types by table. It must be an object
+    from tables, each the stem of one of ``csv_paths``, to objects with an
+    optional ``types`` object. The type names, and that each attribute is in
+    its table's header, are checked on ingest."""
     if path is None:
         return {}, {}
-    config = read_json(path, "schema config")
-    entries = config.values() if isinstance(config, dict) else [None]
-    if not all(isinstance(e, dict) and isinstance(e.get("types", {}), dict) for e in entries):
-        message = 'schema config must map each table to an object with an optional "types" object'
-        raise IngestError(message, path=path)
+    tables = dict.fromkeys((Path(p).stem for p in csv_paths), Any)
+
+    def check(config):
+        json_object(config, "schema config", **tables)
+        for entry in config.values():
+            json_object(entry, "schema config table", types=dict[str, str])
+        return config
+
+    config = read_json(path, "schema config", check)
     return config, {name: entry.get("types", {}) for name, entry in config.items()}
 
 
@@ -76,7 +86,7 @@ def _scenario_from_args(args) -> AssignmentScenario:
 
 
 def _cmd_gen(args) -> int:
-    schema_config, types = _load_schema_config(args.schema)
+    schema_config, types = _load_schema_config(args.schema, args.csv)
     tables = ingest_csv(args.csv, schema_config)
     scenario = _scenario_from_args(args)
     try:
@@ -143,17 +153,9 @@ def _cmd_shapley(args) -> int:
     return 0 if report.status == "ok" else 1
 
 
-#: The keys a ``bench`` matrix cell may set: the run's knobs and its inputs.
-_CELL_KEYS = ("method", "gamma", "samples", "seed", "timeout", "label", "plan", "manifest")
-
-
 def _cmd_bench(args) -> int:
-    matrix = read_json(args.matrix, "matrix")
-    cells = matrix.get("cells") if isinstance(matrix, dict) else None
-    if not (isinstance(cells, list) and all(isinstance(cell, dict) for cell in cells)):
-        raise AssemblageError(
-            f'matrix {args.matrix} must be an object whose "cells" is a list of objects'
-        )
+    cells = read_json(args.matrix, "matrix",
+                      lambda data: json_object(data, "matrix", cells=list[dict])["cells"])
     reports = []
 
     def save():  # after every cell, so a crash keeps the cells already done
@@ -173,10 +175,9 @@ def _cmd_bench(args) -> int:
         )
 
         def load(cell=cell):
-            unknown = [key for key in cell if key not in _CELL_KEYS]
-            if unknown:  # a misspelt knob would otherwise run at its default
-                takes = ", ".join(_CELL_KEYS)
-                raise ValueError(f"unknown cell keys {unknown}; a cell takes {takes}")
+            # RunConfig has checked the knobs; a misspelt one would run at its default
+            json_object(cell, "cell", method=Any, gamma=Any, samples=Any, seed=Any, timeout=Any,
+                        label=Any, plan=str, manifest=str)
             plan = load_plan(cell.get("plan", args.plan))
             tables, n_owners, _ = load_assignment(cell.get("manifest", args.manifest), plan=plan)
             return plan, tables, n_owners

@@ -461,33 +461,26 @@ def coalition_to_dict(d: CoalitionSet) -> dict:
     }
 
 
-def _owner_index(owner: Any) -> int:
-    """``owner``, an owner index read from JSON; a ``bool`` is not one."""
-    if type(owner) is not int:
-        raise TypeError(f"owner index must be an integer, got {owner!r}")
-    return owner
-
-
 def coalition_from_dict(data: Mapping[str, Any]) -> CoalitionSet:
     """The coalition set in ``data``, as :func:`coalition_to_dict` writes it.
     An ``n_owners`` that is not an integer from 0 to ``model.DEFAULT_MAX_OWNERS``
     raises ``ValueError``, as :func:`evaluate_plan` would refuse it; so does a
-    tuple whose values do not match the schema in number. An owner index that
-    is not an integer (``true`` included) raises ``TypeError``."""
+    tuple whose values do not match the schema in number. Another key or JSON
+    type, an owner index of ``true`` included, raises as ``json_object`` does."""
+    model.json_object(data, "coalition set", schema=list[str], n_owners=Any, tuples=list)
     n, cap = data["n_owners"], model.DEFAULT_MAX_OWNERS
     if type(n) is not int or not 0 <= n <= cap:
         raise ValueError(f"n_owners must be an integer from 0 to {cap}, got {n!r}")
     schema = tuple(data["schema"])
     tuples = []
     for item in data["tuples"]:
+        model.json_object(item, "tuple", values=list, utility=Any, syntheses=list[list[int]])
         values = tuple(value_from_json(v) for v in item["values"])
         if len(values) != len(schema):
             raise ValueError(
                 f"tuple {values!r} has {len(values)} values for a schema of {len(schema)}"
             )
-        syntheses = SynthesisSet.from_sets(
-            OwnerSet.from_indices(n, map(_owner_index, idxs)) for idxs in item["syntheses"]
-        )
+        syntheses = SynthesisSet.from_sets(OwnerSet.from_indices(n, s) for s in item["syntheses"])
         tuples.append(
             CoalitionTuple(values=values, utility=as_utility(item["utility"]), syntheses=syntheses)
         )

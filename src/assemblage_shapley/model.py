@@ -102,9 +102,11 @@ def field_types(cls) -> Mapping[str, Any]:
 
 
 def has_type(value, hint) -> bool:
-    """Whether ``value`` fits the annotation ``hint``: a class, ``X | None``,
-    ``list[X]`` or ``dict[K, V]``. An ``int`` fits ``float``, and a ``bool``
-    fits only ``bool``."""
+    """Whether ``value`` fits the annotation ``hint``: ``typing.Any``, a class,
+    ``X | None``, ``list[X]`` or ``dict[K, V]``. An ``int`` fits ``float``, and
+    a ``bool`` fits only ``bool``."""
+    if hint is Any:
+        return True
     origin = get_origin(hint)
     if origin in (Union, types.UnionType):
         return any(has_type(value, arg) for arg in get_args(hint))
@@ -123,12 +125,26 @@ def has_type(value, hint) -> bool:
 
 def check_fields(record) -> None:
     """Raise ``TypeError`` naming the first field of the dataclass instance
-    ``record`` whose value does not fit its annotation (see :func:`has_type`)."""
-    for name, hint in field_types(type(record)).items():
-        value = getattr(record, name)
+    ``record`` whose value does not fit its annotation (see :func:`json_object`)."""
+    hints = field_types(type(record))
+    json_object({name: getattr(record, name) for name in hints}, "record", **hints)
+
+
+def json_object(data, what: str, /, **hints) -> dict:
+    """``data``, a JSON object read as a ``what``; a key not in ``hints`` raises
+    ``ValueError``, and data that is not an object, or a value that does not fit
+    its key's annotation (see :func:`has_type`), ``TypeError``. Absent keys pass."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a {what} must be an object, got {type(data).__name__}")
+    unknown = [key for key in data if key not in hints]
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; a {what} takes {', '.join(hints)}")
+    for key, value in data.items():
+        hint = hints[key]
         if not has_type(value, hint):
             shown = hint.__name__ if isinstance(hint, type) else hint
-            raise TypeError(f"{name} must be {shown}, got {value!r}")
+            raise TypeError(f"{key} must be {shown}, got {value!r}")
+    return data
 
 
 class OwnerSet:

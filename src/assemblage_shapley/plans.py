@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import MALFORMED, PlanError, read_json
-from .model import value_from_json, value_to_json
+from .model import json_object, value_from_json, value_to_json
 
 
 class PlanNode:
@@ -255,9 +255,9 @@ def plan_to_dict(node: PlanNode) -> dict:
 
 
 def plan_from_dict(data: Mapping[str, Any]) -> PlanNode:
-    """The plan tree ``data`` describes; a node that lacks a field or holds a
-    field of the wrong shape, a ``where`` constant included, is a
-    :class:`PlanError`."""
+    """The plan tree ``data`` describes; a node that lacks a field, holds a
+    field its ``op`` does not take, or holds one of the wrong shape, a
+    ``where`` constant included, is a :class:`PlanError`."""
     try:
         op = data["op"]
     except (TypeError, KeyError):
@@ -270,9 +270,11 @@ def plan_from_dict(data: Mapping[str, Any]) -> PlanNode:
 
 def _node_from_dict(op: Any, data: Mapping[str, Any]) -> PlanNode:
     if op == "scan":
+        json_object(data, op, op=Any, table=str, where=dict)
         where = tuple(sorted((a, value_from_json(v)) for a, v in data.get("where", {}).items()))
         return Scan(table=data["table"], where=where)
     if op == "project":
+        json_object(data, op, op=Any, input=Any, columns=list[str], rename=list[str] | None)
         rename = data.get("rename")
         return Project(
             child=plan_from_dict(data["input"]),
@@ -280,14 +282,17 @@ def _node_from_dict(op: Any, data: Mapping[str, Any]) -> PlanNode:
             rename=tuple(rename) if rename is not None else None,
         )
     if op == "natural_join":
+        json_object(data, op, op=Any, left=Any, right=Any)
         return NaturalJoin(left=plan_from_dict(data["left"]), right=plan_from_dict(data["right"]))
     if op == "equi_join":
+        json_object(data, op, op=Any, left=Any, right=Any, on=list[list[str]])
         return EquiJoin(
             left=plan_from_dict(data["left"]),
             right=plan_from_dict(data["right"]),
             on=tuple((la, ra) for la, ra in data["on"]),
         )
     if op == "union":
+        json_object(data, op, op=Any, inputs=list)
         return Union(children=tuple(plan_from_dict(c) for c in data["inputs"]))
     raise PlanError(f"unknown plan op {op!r}")
 

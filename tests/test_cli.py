@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from assemblage_shapley import (
-    AssignmentScenario, IngestError, RunConfig, bench, cli, evaluate_plan, shapley,
+    AssignmentScenario, IngestError, PlanError, RunConfig, bench, cli, evaluate_plan,
+    generate_assignment, load_coalition, load_plan, plan_to_dict, shapley,
 )
 from assemblage_shapley.cli import build_parser, main
 from assemblage_shapley.engine import dump_coalition
@@ -319,16 +321,22 @@ def test_bench_refuses_unknown_cell_keys_and_invalid_knobs_per_cell(tmp_path):
             {"label": "typo", "method": "iusv", "gama": 0, "timeout_s": 0.001},
             {"label": "g0", "method": "iusv", "gamma": 0, "plan": str(tmp_path / "nope.json")},
             {"label": "s0", "method": "perm", "samples": 0},
+            {"label": "plan-fd", "method": "iusv", "plan": 0},
             {"label": "after", "method": "iusv"},
         ],
     )
     assert rc == 0
     reports = json.loads((tmp_path / "bench.json").read_text())
-    assert [r["status"] for r in reports] == ["error", "error", "error", "ok"]
-    assert reports[0]["error"].startswith("ValueError: unknown cell keys ['gama', 'timeout_s']")
+    assert [r["status"] for r in reports] == ["error", "error", "error", "error", "ok"]
+    assert reports[0]["error"] == (
+        "ValueError: unknown cell keys ['gama', 'timeout_s']; a cell takes method, gamma, "
+        "samples, seed, timeout, label, plan, manifest"
+    )
     # the knobs are checked before the missing plan is read
     assert reports[1]["error"] == "ValueError: gamma must be positive, got 0"
     assert reports[2]["error"] == "ValueError: need at least one sample, got 0"
+    # a plan of 0 is not file descriptor 0
+    assert reports[3]["error"] == "TypeError: plan must be str, got 0"
     assert reports[0]["gamma"] == 1.0 and reports[1]["gamma"] == 0
 
 
@@ -386,7 +394,8 @@ def test_bench_empty_matrix_writes_empty_reports(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ['{}', '{"cells": ["iusv"]}', '[{"method": "iusv"}]', '{"cells": {"method": "iusv"}}', "{"],
+    ['{}', '{"cells": ["iusv"]}', '[{"method": "iusv"}]', '{"cells": {"method": "iusv"}}', "{",
+     '{"cells": [], "cell": [{"method": "iusv"}]}'],
 )
 def test_bench_rejects_a_malformed_matrix(tmp_path, capsys, text):
     matrix = tmp_path / "matrix.json"
@@ -395,7 +404,8 @@ def test_bench_rejects_a_malformed_matrix(tmp_path, capsys, text):
     rc = main(["bench", "--matrix", str(matrix), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: matrix ") and "Traceback" not in err
+    assert err.startswith(("error: matrix ", "error: malformed matrix: "))
+    assert f"[{matrix}]" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -446,9 +456,13 @@ def test_shapley_requires_inputs(tmp_path, capsys):
         '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "owners": ["t.csv"]}}}',
         '{"n_owners": 1, "tables": {"t": null}}',
         '{"n_owners": true, "tables": {}}',
+        '{"n_owners": 1, "tables": {}, "owner_count": 1}',
+        '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "type": {}, "owners": {"0": "t.csv"}}}}',
+        '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "types": {"b": "integer"}, '
+        '"owners": {"0": "t.csv"}}}}',
     ],
     ids=["empty", "array", "not-json", "text-n-owners", "no-schema", "owners-list", "null-table",
-         "bool-n-owners"],
+         "bool-n-owners", "unknown-key", "table-key", "types-attr"],
 )
 def test_cli_reports_a_malformed_manifest_cleanly(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
@@ -508,8 +522,13 @@ def test_shapley_json_and_csv_reports_read_back_equal(tmp_path):
         ('{"items": []}', "schema.json"),
         ('{"items": {"types": []}}', "schema.json"),
         ('{"items": {"types": {"weight": "float"}}}', "items.csv"),  # checked on ingest
+        ('{"itemz": {"types": {"weight": "decimal"}}}', "schema.json"),
+        ('{"items": {"types": {"wieght": "decimal"}}}', "items.csv:1"),  # checked on ingest
+        ('{"items": {"type": {"weight": "decimal"}}}', "schema.json"),
+        ('{"items": {"types": {"weight": 1}}}', "schema.json"),
     ],
-    ids=["not-json", "table-list", "types-list", "unknown-type"],
+    ids=["not-json", "table-list", "types-list", "unknown-type", "unknown-table",
+         "unknown-attribute", "table-key", "type-int"],
 )
 def test_gen_reports_a_malformed_schema_config_cleanly(tmp_path, capsys, schema, named):
     path = tmp_path / "schema.json"
@@ -522,28 +541,85 @@ def test_gen_reports_a_malformed_schema_config_cleanly(tmp_path, capsys, schema,
     assert not out.exists()
 
 
+def test_every_valid_input_file_is_read_back_equal(tmp_path):
+    # the shipped mini-world inputs, the README matrix, a written manifest and
+    # a dumped coalition set: no key or type check may refuse any of them
+    csvs = [str(DATA / f"{name}.csv") for name in ("customers", "orders", "items")]
+    plan = load_plan(DATA / "plan.json")
+    assert plan_to_dict(plan) == json.loads((DATA / "plan.json").read_text())
+    scenario = AssignmentScenario.load(DATA / "scenario.json")
+    assert scenario.to_dict() == json.loads((DATA / "scenario.json").read_text())
+    flags = ["--schema", str(DATA / "schema.json"), "--scenario", str(DATA / "scenario.json")]
+    assert main(["gen", *csvs, *flags, "--out", str(tmp_path / "owners")]) == 0
+    manifest = tmp_path / "owners" / "manifest.json"
+    written = json.loads(manifest.read_text())
+    config = json.loads((DATA / "schema.json").read_text())
+    assert {name: t["types"] for name, t in written["tables"].items()} == {
+        name: entry["types"] for name, entry in config.items()
+    }
+    tables, n_owners, read_scenario = bench.load_assignment(manifest)
+    assert (n_owners, read_scenario) == (written["n_owners"], scenario)
+    assignment = generate_assignment(bench.ingest_csv(csvs, config), scenario)
+    assert tables == sorted(assignment.tables, key=lambda t: (t.table, t.owner))
+
+    d = evaluate_plan(plan, tables, n_owners=n_owners)
+    dump_coalition(d, tmp_path / "coalition.json")
+    assert load_coalition(tmp_path / "coalition.json") == d
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (text,) = re.findall(r"^cat > /tmp/matrix.json <<'EOF'\n(.*?)^EOF$", readme, re.M | re.S)
+    (tmp_path / "matrix.json").write_text(text)
+    rc = main(["bench", "--matrix", str(tmp_path / "matrix.json"), "--manifest", str(manifest),
+               "--plan", str(DATA / "plan.json"), "--out", str(tmp_path / "bench.json")])
+    assert rc == 0
+    reports = json.loads((tmp_path / "bench.json").read_text())
+    assert [r["label"] for r in reports] == [c["label"] for c in json.loads(text)["cells"]]
+    assert {r["status"] for r in reports} == {"ok"}
+
+
 _MANIFEST_OWNER_X = '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "owners": {"x": "t.csv"}}}}'
 _MANIFEST_TYPES_LIST = (
     '{"n_owners": 1, "tables": {"t": {"schema": ["a"], "types": [], "owners": {"0": "t.csv"}}}}'
 )
 
 
+_SCAN_ITEMS = '{"op": "scan", "table": "items"}'
+_LOADERS = {"--plan": load_plan, "--coalition": load_coalition, "--manifest": bench.load_assignment}
+
+
 @pytest.mark.parametrize(
-    "flag, text",
+    "flag, text, named",
     [
-        ("--plan", '{"op": "scan"}'),
-        ("--plan", "not json"),
-        ("--coalition", "{}"),
-        ("--manifest", _MANIFEST_OWNER_X),
-        ("--manifest", _MANIFEST_TYPES_LIST),
+        ("--plan", '{"op": "scan"}', r"KeyError\('table'\)"),
+        ("--plan", "not json", "plan is not JSON"),
+        ("--coalition", "{}", "KeyError: 'n_owners'"),
+        ("--manifest", _MANIFEST_OWNER_X, "owner keys that are not owner indices"),
+        ("--manifest", _MANIFEST_TYPES_LIST, r"types must be dict\[str, str\], got \[\]"),
+        ("--plan", '{"op": "scan", "table": "items", "wehre": {"category": "c1"}}',
+         r"unknown scan keys \['wehre'\]; a scan takes op, table, where"),
+        ("--plan", '{"op": "natural_join", "left": %s, "right": %s, "on": [["item_id", "item_id"]]}'
+         % (_SCAN_ITEMS, _SCAN_ITEMS), r"unknown natural_join keys \['on'\]"),
+        ("--plan", '{"op": "project", "columns": "ab", "input": %s}' % _SCAN_ITEMS,
+         r"columns must be list\[str\], got 'ab'"),
+        ("--plan", '{"op": "project", "columns": ["item_id"], "rename": "x", "input": %s}'
+         % _SCAN_ITEMS, r"rename must be list\[str\] \| None, got 'x'"),
+        ("--plan", '{"op": "equi_join", "left": %s, "right": %s, "on": ["aa"]}'
+         % (_SCAN_ITEMS, _SCAN_ITEMS), r"on must be list\[list\[str\]\], got \['aa'\]"),
+        ("--plan", '{"op": "scan", "table": 5}', "table must be str, got 5"),
     ],
-    ids=["plan-missing-field", "plan-not-json", "coalition-empty", "owner-key", "types-list"],
+    ids=["plan-missing-field", "plan-not-json", "coalition-empty", "owner-key", "types-list",
+         "plan-wehre", "plan-join-key", "plan-columns-text", "plan-rename-text", "plan-on-flat",
+         "plan-table-int"],
 )
-def test_cli_reports_malformed_json_inputs_cleanly(tmp_path, capsys, flag, text):
+def test_cli_reports_malformed_json_inputs_cleanly(tmp_path, capsys, flag, text, named):
     outdir = _gen(tmp_path)
     capsys.readouterr()
     bad = tmp_path / "bad.json"
     bad.write_text(text)
+    # the loader refuses the file itself, naming it and what is wrong with it
+    with pytest.raises((IngestError, PlanError), match=named) as exc_info:
+        _LOADERS[flag](bad)
+    assert str(bad) in str(exc_info.value)
     inputs = {"--manifest": str(outdir / "manifest.json"), "--plan": str(DATA / "plan.json")}
     if flag == "--coalition":
         argv = ["shapley", "--method", "iusv", "--coalition", str(bad)]
@@ -552,8 +628,7 @@ def test_cli_reports_malformed_json_inputs_cleanly(tmp_path, capsys, flag, text)
         argv = ["assemble", "--manifest", inputs["--manifest"], "--plan", inputs["--plan"]]
     rc = main(argv + ["--out", str(tmp_path / "out.json")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+    assert capsys.readouterr().err == f"error: {exc_info.value}\n"
 
 
 @pytest.mark.parametrize(

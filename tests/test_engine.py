@@ -620,6 +620,10 @@ def test_plan_json_roundtrip():
         rename=("p1", "p2"),
     )
     assert plan_from_json(plan_to_json(bridge)) == bridge
+    rng = Random("plan-roundtrip")
+    for _ in range(200):
+        plan = random_plan(rng, depth=rng.randint(0, 4))
+        assert plan_from_json(plan_to_json(plan)) == plan
 
 
 def test_coalition_set_json_roundtrip():
@@ -674,25 +678,42 @@ def test_values_outside_the_codec_are_refused_in_plans_and_coalition_sets(tmp_pa
     assert e.value.path == str(path)
 
 
+_SYNTHESES = r"syntheses must be list\[list\[int\]\], got "
+_SCHEMA = r"schema must be list\[str\], got "
+_UNKNOWN_TUPLE_KEY = r"unknown tuple keys \['weight'\]; a tuple takes values, utility, syntheses"
+_UNKNOWN_SET_KEY = (
+    r"unknown coalition set keys \['totl'\]; a coalition set takes schema, n_owners, tuples"
+)
+
+
 @pytest.mark.parametrize(
     "tuple_item, message",
     [
-        ({"values": [1], "syntheses": [[True], [2]]}, "owner index must be an integer, got True"),
-        ({"values": [1], "syntheses": [[False]]}, "owner index must be an integer, got False"),
-        ({"values": [1], "syntheses": [[1.0]]}, "owner index must be an integer, got 1.0"),
-        ({"values": [1], "syntheses": [["1"]]}, "owner index must be an integer, got '1'"),
+        ({"values": [1], "syntheses": [[True], [2]]}, _SYNTHESES + r"\[\[True\], \[2\]\]"),
+        ({"values": [1], "syntheses": [[False]]}, _SYNTHESES + r"\[\[False\]\]"),
+        ({"values": [1], "syntheses": [[1.0]]}, _SYNTHESES + r"\[\[1\.0\]\]"),
+        ({"values": [1], "syntheses": [["1"]]}, _SYNTHESES + r"\[\['1'\]\]"),
         ({"values": [1, 2], "syntheses": [[0]]}, r"tuple \(1, 2\) has 2 values for a schema of 1"),
         ({"values": [], "syntheses": [[0]]}, r"tuple \(\) has 0 values for a schema of 1"),
+        ({"values": "a", "syntheses": [[0]]}, "values must be list, got 'a'"),
+        ({"values": [1], "syntheses": [[0]], "weight": 1}, _UNKNOWN_TUPLE_KEY),
+        ({"schema": "xy", "values": "ab", "syntheses": [[0]]}, _SCHEMA + "'xy'"),
+        ({"schema": [1], "values": [1], "syntheses": [[0]]}, _SCHEMA + r"\[1\]"),
+        ({"schema": [None], "values": [1], "syntheses": [[0]]}, _SCHEMA + r"\[None\]"),
+        ({"values": [1], "syntheses": [[0]], "set": {"totl": 1}}, _UNKNOWN_SET_KEY),
     ],
-    ids=["owner-true", "owner-false", "owner-float", "owner-text", "values-long", "values-empty"],
+    ids=["owner-true", "owner-false", "owner-float", "owner-text", "values-long", "values-empty",
+         "values-text", "tuple-key", "schema-text", "schema-int", "schema-null", "set-key"],
 )
 def test_coalition_files_refuse_bool_owners_and_values_off_the_schema(
     tmp_path, tuple_item, message
 ):
+    # "schema" and "set" in a case go to the coalition set, the rest to its tuple
+    item = {"utility": "1", **tuple_item}
+    data = {"schema": item.pop("schema", ["x"]), "n_owners": 3, **item.pop("set", {}),
+            "tuples": [item]}
     path = tmp_path / "coalition.json"
-    path.write_text(json.dumps({
-        "schema": ["x"], "n_owners": 3, "tuples": [{"utility": "1", **tuple_item}],
-    }))
+    path.write_text(json.dumps(data))
     with pytest.raises(IngestError, match=rf"^malformed coalition set: \w+: {message} \[") as e:
         load_coalition(path)
     assert e.value.path == str(path)
