@@ -15,7 +15,8 @@
 # true, a plan whose scan spells where "wehre", a bad cell in a column the
 # plan projects away, a scenario that is not JSON, a scenario whose
 # max_copies is 1.5, a gen --alpha of nan, a gen --k of 5000 (10 001 owners,
-# over the 4096 cap), a manifest whose scenario has an unknown field, a
+# over the 4096 cap), a gen of two CSV files with one stem (refused before
+# anything is written), a manifest whose scenario has an unknown field, a
 # manifest that does not exist, a coalition set over more than 4096 owners,
 # a coalition set that is not UTF-8, a coalition set with an owner index of
 # true, a shapley --timeout of 0 or nan, a shapley --gamma of 0 (refused
@@ -91,6 +92,16 @@ expect_error "gen --alpha nan" gen "$data/items.csv" --alpha nan --out "$out/bad
 
 expect_error "gen over the owner cap" gen "$data/customers.csv" "$data/orders.csv" \
   "$data/items.csv" --k 5000 --out "$out/bad_owners"
+
+mkdir -p "$out/same_stem"
+cp "$data/items.csv" "$out/same_stem/items.csv"
+rm -rf "$out/same_stem_owners"
+expect_error "gen of two files with one stem" gen "$data/items.csv" "$out/same_stem/items.csv" \
+  --out "$out/same_stem_owners"
+if [[ -e "$out/same_stem_owners" ]]; then
+  echo "gen of two files with one stem wrote $out/same_stem_owners" >&2
+  exit 1
+fi
 
 python - "$out/owners/manifest.json" "$out/owners/bad_manifest.json" <<'EOF'
 import json, sys

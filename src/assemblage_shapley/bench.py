@@ -23,10 +23,12 @@ import json
 import multiprocessing
 import re
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from itertools import filterfalse, repeat
 from pathlib import Path
-from typing import Any, Callable, Collection, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from .baselines import PRNG_NAME, UtilityEvaluator, _check_samples, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
@@ -48,21 +50,29 @@ CELL_PARSERS: dict[str, Callable[[str], Any]] = {
 _PLAIN_DECIMAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
-def _check_decimal(raw: str) -> None:
-    if _PLAIN_DECIMAL.fullmatch(raw) is None:
+def _check_decimals(column: Iterable[str]) -> None:
+    # only a cell that is not plainly a Fraction pays for the parse
+    for raw in filterfalse(_PLAIN_DECIMAL.fullmatch, column):
         Fraction(raw)
 
 
-def _check_integer(raw: str) -> None:
-    int(raw)
+def _check_integers(column: Iterable[str]) -> None:
+    deque(map(int, column), maxlen=0)
 
 
-#: How a CSV cell of each type is checked when no plan column reads it: it
+#: How a column of CSV cells of each type is checked when no plan column
+#: reads it: it raises exactly when its ``CELL_PARSERS`` entry raises on one
+#: of its cells.
+_COLUMN_CHECKS: dict[str, Callable[[Iterable[str]], None]] = {
+    "string": lambda column: None,
+    "integer": _check_integers,
+    "decimal": _check_decimals,
+}
+
+#: How one CSV cell of each type is checked when no plan column reads it: it
 #: raises exactly when its ``CELL_PARSERS`` entry raises, and gives ``None``.
 _CELL_CHECKS: dict[str, Callable[[str], None]] = {
-    "string": lambda raw: None,
-    "integer": _check_integer,
-    "decimal": _check_decimal,
+    kind: (lambda raw, check=check: check((raw,))) for kind, check in _COLUMN_CHECKS.items()
 }
 
 
@@ -74,19 +84,29 @@ def ingest_csv(
 ) -> list[SourceTable]:
     """Read CSV files into typed, deduplicated tables.
 
-    The file stem names the table and the header row names its attributes.
-    ``schema_config`` optionally maps table names to ``{"types": {attr:
-    "integer" | "decimal" | "string"}}``; unspecified attributes are strings.
-    Strings are trimmed and numerics normalized, so ``1.50`` and ``1.5`` join.
+    The file stem names the table and the header row names its attributes;
+    two files with one stem raise :class:`IngestError` naming both, before
+    either is read. ``schema_config`` optionally maps table names to
+    ``{"types": {attr: "integer" | "decimal" | "string"}}``; unspecified
+    attributes are strings. Strings are trimmed and numerics normalized, so
+    ``1.50`` and ``1.5`` join.
     """
+    paths = [Path(path) for path in paths]
+    stems: dict[str, Path] = {}
+    for path in paths:
+        if path.stem in stems:
+            first = stems[path.stem]
+            raise IngestError(
+                f"CSV files {str(first)!r} and {str(path)!r} both name table {path.stem!r}",
+                path=str(path),
+            )
+        stems[path.stem] = path
     schema_config = schema_config or {}
     tables = []
     for path in paths:
-        path = Path(path)
-        name = path.stem
-        types = dict(schema_config.get(name, {}).get("types", {}))
+        types = dict(schema_config.get(path.stem, {}).get("types", {}))
         schema, rows = _read_csv(path, types)
-        tables.append(SourceTable(name=name, schema=schema, rows=rows))
+        tables.append(SourceTable(name=path.stem, schema=schema, rows=rows))
     return tables
 
 
@@ -104,7 +124,11 @@ def _read_csv(
     attribute not in the header, a row with the wrong number of fields or a
     bad cell, parsed or checked, raises
     :class:`IngestError` naming the file and line; a file that is not UTF-8
-    raises one naming the file."""
+    raises one naming the file.
+
+    Cells are parsed and checked a column at a time. Only once that has
+    failed are the rows walked one at a time, to name the first bad row in
+    file order."""
     for attr, kind in types.items():
         if not (isinstance(kind, str) and kind in CELL_PARSERS):
             raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
@@ -121,33 +145,49 @@ def _read_csv(
         unknown = [attr for attr in types if attr not in header]
         if unknown:
             raise IngestError(f"types {unknown} are not in the header", path=str(path), line=1)
-        kinds = [types.get(a, "string") for a in header]
-        parsers = [
-            CELL_PARSERS[kind] if read is None or i in read else _CELL_CHECKS[kind]
-            for i, kind in enumerate(kinds)
-        ]
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise IngestError(
-                    f"row has {len(record)} fields, expected {len(header)}",
-                    path=str(path),
-                    line=line_no,
-                )
+        records = list(reader)
+    kinds = [types.get(a, "string") for a in header]
+    reads = [read is None or i in read for i in range(len(header))]
+    body = list(filter(None, records))  # a blank line is an empty record
+    if set(map(len, body)) - {len(header)}:
+        _raise_first_bad_row(path, records, kinds, reads)
+    columns: list[Iterable] = []
+    try:
+        for kind, parse, column in zip(kinds, reads, zip(*body)):
+            if parse:
+                columns.append(list(map(CELL_PARSERS[kind], column)))
+            else:
+                _COLUMN_CHECKS[kind](column)
+                columns.append(repeat(None, len(body)))
+    except (ValueError, ZeroDivisionError):
+        _raise_first_bad_row(path, records, kinds, reads)
+        raise
+    return header, tuple(zip(*columns))
+
+
+def _raise_first_bad_row(
+    path: Path, records: list[list[str]], kinds: list[str], reads: list[bool]
+) -> None:
+    """Raise :class:`IngestError` for the first of ``records``, in file
+    order, that has the wrong number of fields or a cell that does not parse
+    (as ``kinds``; checked where ``reads`` is false); return if none has."""
+    cells = [
+        CELL_PARSERS[kind] if parse else _CELL_CHECKS[kind] for kind, parse in zip(kinds, reads)
+    ]
+    for line_no, record in enumerate(records, start=2):
+        if not record:
+            continue
+        if len(record) != len(kinds):
+            raise IngestError(
+                f"row has {len(record)} fields, expected {len(kinds)}", path=str(path), line=line_no
+            )
+        for raw, kind, cell in zip(record, kinds, cells):
             try:
-                rows.append(tuple([parse(raw) for parse, raw in zip(parsers, record)]))
+                cell(raw)
             except (ValueError, ZeroDivisionError):
-                for raw, kind in zip(record, kinds):
-                    try:
-                        CELL_PARSERS[kind](raw)
-                    except (ValueError, ZeroDivisionError):
-                        raise IngestError(
-                            f"cannot parse {raw.strip()!r} as {kind}", path=str(path), line=line_no
-                        ) from None
-                raise
-    return header, tuple(rows)
+                raise IngestError(
+                    f"cannot parse {raw.strip()!r} as {kind}", path=str(path), line=line_no
+                ) from None
 
 
 # --- owner-table manifest (gen output) -----------------------------------------

@@ -17,9 +17,14 @@ join, l1 | r1 ⊆ l2 | r2 over disjoint owners forces l1 ⊆ l2 and r1 ⊆ r2, s
 the unions of two antichains are distinct and none contains another; for a
 merge, a non-empty mask cannot lie inside a mask over the other list's owners.
 Either way only the canonical order is left to restore. Lists whose owners
-meet are minimalised. The output rows are checked against the cap, and each
-distinct list is wrapped once, as it stands, in a ``SynthesisSet`` shared by
-every row that has it: a ``SynthesisSet`` stores int masks, not ``OwnerSet``s.
+meet are minimalised. A join of two single witnesses is one OR, ``[l | r]``,
+whether or not their owners meet: one mask is an antichain, and its owner
+unions are computed only for a pair that holds a longer list. The output
+rows are checked against the cap, and each distinct list is wrapped once, as
+it stands, in a ``SynthesisSet`` shared by every row that has it: a
+``SynthesisSet`` stores int masks, not ``OwnerSet``s. Each output
+``CoalitionTuple`` is built through its slots' setters, not its frozen
+constructor.
 
 The ``plans`` module owns the column layout. The whole plan is type-checked
 and laid out once, by ``plans.plan_layout``, before any row is read, and the
@@ -52,9 +57,9 @@ def _normalise_rows(table, where: str) -> None:
     of the wrong arity is a :class:`PlanError` naming ``where``."""
     schema = tuple(table.schema)
     rows = tuple(map(tuple, table.rows))
-    for row in rows:
-        if len(row) != len(schema):
-            raise PlanError(f"row arity {len(row)} != schema arity {len(schema)} in {where}")
+    if set(map(len, rows)) - {len(schema)}:
+        row = next(row for row in rows if len(row) != len(schema))
+        raise PlanError(f"row arity {len(row)} != schema arity {len(schema)} in {where}")
     object.__setattr__(table, "schema", schema)
     object.__setattr__(table, "rows", rows)
 
@@ -244,11 +249,19 @@ def minimalize(syntheses: Iterable[OwnerSet]) -> SynthesisSet:
     return SynthesisSet._trusted(syntheses[0].width, tuple(kept))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoalitionTuple:
     values: Row
     utility: Fraction
     syntheses: SynthesisSet
+
+
+# What evaluate_plan's output pass builds a CoalitionTuple from: its slots'
+# setters, which skip the frozen __setattr__ the constructor goes through.
+_new_tuple = CoalitionTuple.__new__
+_set_values = CoalitionTuple.values.__set__
+_set_utility = CoalitionTuple.utility.__set__
+_set_syntheses = CoalitionTuple.syntheses.__set__
 
 
 @dataclass(frozen=True)
@@ -394,10 +407,15 @@ def evaluate_plan(
                 matches = index.get(lkey(lrow))
                 if matches is None:
                     continue
-                lprofile = _profile(lmasks)
+                lprofile = None  # computed once a pair needs it
                 for kept, rmasks, rprofile in matches:
                     # a right row is its key plus its kept columns: rows never collide
                     row = lrow + kept
+                    if len(lmasks) == 1 == len(rmasks):  # two single witnesses
+                        out[row] = [lmasks[0] | rmasks[0]]
+                        continue
+                    if lprofile is None:
+                        lprofile = _profile(lmasks)
                     combined = _join_masks(lmasks, lprofile, rmasks, rprofile)
                     if len(combined) > cap:
                         raise _cap_error(row, len(combined), node)
@@ -423,8 +441,11 @@ def evaluate_plan(
                 raise _cap_error(row, len(key), plan)
             syntheses = shared[key] = SynthesisSet._trusted(n_owners, key)
         rel[row] = None  # free each list as its tuple is built, to lower the peak
-        utility = as_utility(utility_fn(row)) if utility_fn is not None else one
-        tuples.append(CoalitionTuple(values=row, utility=utility, syntheses=syntheses))
+        t = _new_tuple(CoalitionTuple)
+        _set_values(t, row)
+        _set_utility(t, as_utility(utility_fn(row)) if utility_fn is not None else one)
+        _set_syntheses(t, syntheses)
+        tuples.append(t)
     return CoalitionSet(schema=layout.schema, tuples=tuple(tuples), n_owners=n_owners)
 
 

@@ -1,14 +1,19 @@
 import csv
 import gc
+import io
 import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 from dataclasses import asdict, replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from assemblage_shapley import (
     Allocation,
@@ -22,6 +27,7 @@ from assemblage_shapley import (
     RunReport,
     Scan,
     UndefinedMetricError,
+    bench,
     compute_case_rates,
     compute_error_rate,
     generate_assignment,
@@ -128,6 +134,117 @@ def test_ingest_rejects_unknown_type(tmp_path):
     }}}))
     with pytest.raises(IngestError, match="unknown type 'floaty'"):
         load_assignment(manifest)
+
+
+def _read_rows_one_at_a_time(path, types, read):
+    """The header and rows of the CSV file ``path`` as a reader that parses
+    one row at a time gives them, or the :class:`IngestError` it raises on
+    the first bad row. It parses every cell and keeps the ``read`` ones."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *records = csv.reader(fh)
+    header = tuple(h.strip() for h in header)
+    kinds = [types.get(attr, "string") for attr in header]
+    rows = []
+    for line, record in enumerate(records, start=2):
+        if not record:  # a blank line
+            continue
+        if len(record) != len(header):
+            message = f"row has {len(record)} fields, expected {len(header)}"
+            return IngestError(message, path=str(path), line=line)
+        row = []
+        for i, (raw, kind) in enumerate(zip(record, kinds)):
+            try:
+                value = bench.CELL_PARSERS[kind](raw)
+            except (ValueError, ZeroDivisionError):
+                message = f"cannot parse {raw.strip()!r} as {kind}"
+                return IngestError(message, path=str(path), line=line)
+            row.append(value if read is None or i in read else None)
+        rows.append(tuple(row))
+    return header, tuple(rows)
+
+
+_PAD = st.sampled_from(["", " ", "  "])
+_GOOD_CELLS = {
+    # commas, quotes and line breaks: quoted by csv.writer, or new records
+    "string": st.text(alphabet=' ab,"\n\r', max_size=4),
+    "integer": st.tuples(_PAD, st.integers(-10**6, 10**6).map(str), _PAD).map("".join),
+    "decimal": st.tuples(
+        _PAD,
+        st.sampled_from(["3/2", "-7", "1.50", "1.5", "007/010", "2e1", "+4/1", "0", " 9 / 3"]),
+        _PAD,
+    ).map("".join),
+}
+_BAD_CELLS = {
+    "string": st.nothing(),
+    "integer": st.sampled_from(["x", "", " ", "1.5", "1/2", "--1"]),
+    "decimal": st.sampled_from(["x", "", "1/0", "1/-2", "1..5", " 3/0 "]),
+}
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text of a header and random lines, the types of its columns and
+    the positions read; a line may be blank, short, long or hold a bad cell."""
+    width = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(sorted(_GOOD_CELLS)), min_size=width, max_size=width))
+    header = [f"{draw(_PAD)}c{i}{draw(_PAD)}" for i in range(width)]
+    # a string column may be typed or left to the default
+    types = {f"c{i}": k for i, k in enumerate(kinds) if k != "string" or draw(st.booleans())}
+    read = draw(st.none() | st.sets(st.integers(0, width - 1)))
+    bad_share = draw(st.sampled_from([0.0, 0.02, 0.2]))
+
+    def cell(kind):
+        bad = bad_share and draw(st.floats(0, 1)) < bad_share
+        return draw(_BAD_CELLS[kind] if bad and kind != "string" else _GOOD_CELLS[kind])
+
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["row"] * 8 + ["blank", "ragged"]))
+        if shape == "blank":
+            lines.append([])
+        elif shape == "ragged" and bad_share:
+            fields = draw(st.integers(1, width + 1).filter(lambda n: n != width))
+            lines.append([draw(_GOOD_CELLS["integer"]) for _ in range(fields)])
+        else:
+            lines.append([cell(kind) for kind in kinds])
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [header, *lines]
+    )
+    return out.getvalue(), types, read
+
+
+@given(_csv_files())
+@example(("a,b\n1,x\n2\n", {"a": "integer", "b": "integer"}, None))  # a bad cell, then a short row
+@example(("a,b\n1\n2,x\n", {"a": "integer", "b": "integer"}, None))  # a short row, then a bad cell
+@example(("a,b\n1,x\n2\n", {"a": "integer", "b": "decimal"}, {0}))  # the bad cell is not read
+def test_ingest_by_column_equals_a_row_at_a_time_reader(case):
+    text, types, read = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = _read_rows_one_at_a_time(path, types, read)
+        if isinstance(expected, IngestError):
+            with pytest.raises(IngestError) as exc_info:
+                bench._read_csv(path, types, read=read)
+            got = exc_info.value
+            assert (str(got), got.path, got.line) == (str(expected), expected.path, expected.line)
+        else:
+            assert bench._read_csv(path, types, read=read) == expected
+
+
+def test_ingest_names_the_first_bad_row_in_file_order(tmp_path):
+    # a bad cell before a short row is reported, not the short row
+    p = tmp_path / "t.csv"
+    types = {"t": {"types": {"a": "integer", "b": "integer"}}}
+    for text, line, message in [
+        ("a,b\n1,2\n\n1,x\n2\n", 4, "cannot parse 'x' as integer"),
+        ("a,b\n1,2\n2\n1,x\n", 3, "row has 1 fields, expected 2"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(IngestError) as exc_info:
+            ingest_csv([p], types)
+        assert str(exc_info.value) == f"{message} [{p}:{line}]"
 
 
 # --- assignment manifest round trip -------------------------------------------------

@@ -66,6 +66,26 @@ def test_gen_over_the_owner_cap_reports_cleanly(tmp_path, capsys):
     assert not (tmp_path / "owners").exists()
 
 
+def test_gen_refuses_two_csv_files_of_one_stem(tmp_path, capsys):
+    # both would be table "t": the manifest would list owner 1 of 1 owners
+    first, second = tmp_path / "d1" / "t.csv", tmp_path / "d2" / "t.csv"
+    for path, row in [(first, "1"), (second, "2")]:
+        path.parent.mkdir()
+        path.write_text(f"a\n{row}\n")
+    outdir = tmp_path / "owners"
+    assert main(["gen", str(first), str(second), "--out", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: CSV files {str(first)!r} and {str(second)!r} both name table 't' [{second}]\n"
+    )
+    assert captured.out == ""
+    assert not outdir.exists()
+    # one file given twice is refused the same way
+    assert main(["gen", str(first), str(first), "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: CSV files {str(first)!r} and {str(first)!r}")
+    assert not outdir.exists()
+
+
 def test_gen_is_deterministic(tmp_path):
     a = _gen(tmp_path / "a")
     b = _gen(tmp_path / "b")

@@ -1,5 +1,6 @@
 import json
 import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -34,6 +35,7 @@ from assemblage_shapley import (
 )
 from assemblage_shapley.engine import (
     DEFAULT_MAX_SYNTHESES,
+    CoalitionTuple,
     coalition_from_dict,
     coalition_to_dict,
     load_coalition,
@@ -254,6 +256,47 @@ def test_output_witnesses_stay_masks(monkeypatch):
     # iterating builds them, from the stored masks
     assert [s.bits for s in d.tuples[0].syntheses] == list(d.tuples[0].syntheses.masks())
     assert len(built) == 9
+
+
+def test_output_tuples_are_the_constructors_tuples():
+    plan, tables = example_counter_tables()
+    d = evaluate_plan(plan, tables, utility_fn=lambda row: Fraction(len(row), 3))
+    assert len(d) > 0
+    for t in d:
+        built = CoalitionTuple(values=t.values, utility=t.utility, syntheses=t.syntheses)
+        assert t == built and hash(t) == hash(built)
+        assert not hasattr(t, "__dict__")  # a slots class, as the constructor builds
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t)
+        for name, value in [("values", ()), ("utility", Fraction(0)), ("syntheses", None)]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, value)
+        assert t == built  # the refused assignments changed nothing
+    assert coalition_from_dict(coalition_to_dict(d)) == d
+
+
+def test_a_join_of_single_witnesses_is_one_or_even_where_owners_meet(monkeypatch):
+    # owner 0 holds two rows of key 1 and owner 1 a third; every scanned list
+    # is one mask, so a self-join pairs single witnesses, some of one owner
+    tables = [
+        OwnedTable("e", 0, ("k", "a"), ((1, "x"), (1, "y"), (2, "x"))),
+        OwnedTable("e", 1, ("k", "a"), ((1, "z"), (2, "y"))),
+    ]
+    scanned = {t.values: t.syntheses.masks() for t in evaluate_plan(Scan("e"), tables)}
+    assert {len(masks) for masks in scanned.values()} == {1}
+    minimal = engine_module._minimal_masks
+    calls = []
+    monkeypatch.setattr(engine_module, "_minimal_masks", lambda m: calls.append(1) or minimal(m))
+    d = evaluate_plan(EquiJoin(Scan("e"), Scan("e"), (("k", "k"),)), tables)
+    assert calls == []  # no pair needed a pass
+    assert len(d) == 3 * 3 + 2 * 2
+    for t in d:  # a row is the left row and the right row's kept column
+        k, a, a_right = t.values
+        left, right = scanned[(k, a)], scanned[(k, a_right)]
+        assert list(t.syntheses.masks()) == minimal(lm | rm for lm in left for rm in right)
+    by_value = {t.values: t.syntheses.masks() for t in d}
+    assert by_value[(1, "x", "y")] == (0b01,)  # both rows owner 0's
+    assert by_value[(1, "x", "z")] == (0b11,)
 
 
 def test_coalition_dump_writes_masks_without_owner_sets(monkeypatch):
