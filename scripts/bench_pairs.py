@@ -2,22 +2,24 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_pairs.py --parent REV --pairs 10 --seconds 30 \\
+    python3 scripts/bench_pairs.py --parent REV \\
         --claim join-uo-ea:request_s.p50 --what "..." --out BENCH_<n>.json
 
 The parent side is ``git archive REV``, unpacked under ``.perfbench_work/``;
 the change side is this checkout, as it stands. Both sides must hold the same
 ``perfbench/`` and ``BENCHMARK.json``, so each runs the same benchmark on its
-own ``src/``. Each pair runs ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` once on each side, one run at a time, and the side
-that runs first alternates pair by pair. For every end-to-end metric of
-``BENCHMARK.json`` the file records each side's runs, median and quartiles,
-the pairs the change won and a verdict against the metric's bound.
+own ``src/``. Each of ten pairs runs ``perfbench/run.py --workload W --seed 1
+--seconds T --trace 0``, T being ``BENCHMARK.json``'s ``run_seconds``, once
+on each side, one run at a time, and the side that runs first alternates pair
+by pair. Every workload runs at seed 1; the ``--claim`` workload also runs at
+seed 7. For every end-to-end metric of ``BENCHMARK.json`` the file records
+each side's runs, median and quartiles, the pairs the change won and a
+verdict against the metric's bound.
 
 It also records ``same_answers``: per side, hashes of the coalition set, of
 the ``iusv_all`` shares with their case counts and of the ``shapley --method
 iusv`` report without its runtimes, on every workload and on the mini-world
-data, at each seed of ``--answer-seeds``.
+data, at seeds 1 and 7.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import shutil
 import statistics
 import subprocess
@@ -39,6 +40,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("join-uo-ea", "join-eo-ua", "union-eo-ea")
 BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
+PAIRS = 10
+#: a gain needs at least 9 of the 10 pairs, and a median gain past the parent's IQR
+WINS_NEEDED = 9
+SEED, CLAIM_SEED = 1, 7
 
 
 def _git(*args: str) -> bytes:
@@ -93,9 +98,8 @@ def _verdict(spec: dict, parent: list[float], change: list[float], wins: int) ->
     p1, pmed, p3 = _quartiles(parent)
     c1, cmed, c3 = _quartiles(change)
     move = (cmed - pmed) / pmed
-    pairs, need = len(parent), math.ceil(0.9 * len(parent))
-    if wins >= need and sign * (pmed - cmed) > p3 - p1:
-        verdict = (f"better: wins >= {need}/{pairs} pairs and the median gain exceeds "
+    if wins >= WINS_NEEDED and sign * (pmed - cmed) > p3 - p1:
+        verdict = (f"better: wins >= {WINS_NEEDED}/{PAIRS} pairs and the median gain exceeds "
                    "the parent's IQR")
     elif sign * move > spec["bound"]:
         verdict = "worse: beyond the bound"
@@ -117,23 +121,23 @@ def _verdict(spec: dict, parent: list[float], change: list[float], wins: int) ->
     }
 
 
-def _pairs(parent_root: Path, workload: str, seed: int, pairs: int, seconds: float,
+def _pairs(parent_root: Path, workload: str, seed: int, seconds: float,
            metrics: list[dict]) -> tuple[dict, dict]:
-    """``pairs`` alternating pairs of runs of ``workload`` at ``seed``, summed
+    """``PAIRS`` alternating pairs of runs of ``workload`` at ``seed``, summed
     up per metric, and the change side's environment."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = [("parent", parent_root), ("change", ROOT)]
         for side, root in order if i % 2 == 0 else order[::-1]:
             run = _run(root, workload, seed, seconds)
             runs[side].append(run)
-            print(f"{workload}@seed{seed} pair {i + 1}/{pairs} {side}: "
+            print(f"{workload}@seed{seed} pair {i + 1}/{PAIRS} {side}: "
                   f"correct={run['correct']} failed={run['failed']} "
                   + " ".join(f"{m['name']}={run['metrics'][m['name']]['value']:.6g}"
                              for m in metrics), file=sys.stderr, flush=True)
     out = {
         "seed": seed,
-        "pairs": pairs,
+        "pairs": PAIRS,
         **{key: {side: [r[key] for r in rs] for side, rs in runs.items()}
            for key in ("correct", "failed", "attempted")},
         "digests": {side: sorted({r["digest"] for r in rs}) for side, rs in runs.items()},
@@ -155,7 +159,7 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _answers(root: Path, seeds: list[int]) -> dict:
+def _answers(root: Path) -> dict:
     """The answer hashes of the tree ``root``, computed in this process."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from assemblage_shapley import cli, evaluate_plan, iusv_all, load_assignment, load_plan
@@ -187,7 +191,7 @@ def _answers(root: Path, seeds: list[int]) -> dict:
 
     data = root / "data" / "mini-world"
     out = {}
-    for seed in seeds:
+    for seed in (SEED, CLAIM_SEED):
         for name in WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:
                 s = set_up(BENCH_WORKLOADS[name], seed, Path(tmp))
@@ -206,9 +210,8 @@ def _answers(root: Path, seeds: list[int]) -> dict:
     return out
 
 
-def _side_answers(root: Path, seeds: list[int]) -> dict:
-    cmd = [sys.executable, __file__, "--answers-of", str(root),
-           "--answer-seeds", *map(str, seeds)]
+def _side_answers(root: Path) -> dict:
+    cmd = [sys.executable, __file__, "--answers-of", str(root)]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -218,52 +221,47 @@ def _side_answers(root: Path, seeds: list[int]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", help="the parent revision")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--workload", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    p.add_argument("--seed", type=int, default=1, help="the seed of the benchmark runs")
-    p.add_argument("--claim", help="WORKLOAD:METRIC, also run at --claim-seed")
-    p.add_argument("--claim-seed", type=int, default=7)
-    p.add_argument("--answer-seeds", type=int, nargs="+", default=[1, 7])
+    p.add_argument("--claim", help=f"WORKLOAD:METRIC, also run at seed {CLAIM_SEED}")
     p.add_argument("--what", default="", help="what the change does, for the record")
     p.add_argument("--out", type=Path)
     p.add_argument("--answers-of", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.answers_of is not None:
-        print(json.dumps(_answers(args.answers_of, args.answer_seeds)))
+        print(json.dumps(_answers(args.answers_of)))
         return 0
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    jobs = [(w, SEED) for w in WORKLOADS]
+    claim = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in WORKLOADS or metric not in {m["name"] for m in metrics}:
+            p.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC of BENCHMARK.json")
+        claim = {"workload": workload, "metric": metric, "seeds": [SEED, CLAIM_SEED],
+                 "rule": f"the change wins at least {WINS_NEEDED} of {PAIRS} pairs and its "
+                         "median gain exceeds the parent's interquartile distance"}
+        jobs.append((workload, CLAIM_SEED))
 
     parent_rev = _git("rev-parse", "--short", args.parent).decode().strip()
     parent_root = _export(parent_rev, ROOT / ".perfbench_work" / f"pairs-{parent_rev}")
     if not _same_benchmark(parent_root):
         print(f"the benchmark differs between {parent_rev} and this checkout", file=sys.stderr)
         return 2
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = benchmark["end_to_end"]
-
-    answers = {side: _side_answers(root, args.answer_seeds)
+    answers = {side: _side_answers(root)
                for side, root in (("parent", parent_root), ("change", ROOT))}
-    jobs = [(w, args.seed) for w in args.workload]
-    claim = None
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        claim = {"workload": workload, "metric": metric, "seeds": [args.seed, args.claim_seed],
-                 "rule": "the change wins at least 9 of 10 pairs and its median gain "
-                         "exceeds the parent's interquartile distance"}
-        jobs.append((workload, args.claim_seed))
     results, environment = {}, None
     for workload, seed in jobs:
         results[f"{workload}@seed{seed}"], environment = _pairs(
-            parent_root, workload, seed, args.pairs, args.seconds, metrics
+            parent_root, workload, seed, seconds, metrics
         )
     record = {
         "what": args.what,
         "parent": parent_rev,
         "change": "the commit that adds this file",
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "method": "alternating parent/change pairs, the first side alternating pair by pair; "
                   "each side ran from its own copy of the tree, with identical perfbench/ and "
                   "BENCHMARK.json, one run at a time on the same host",

@@ -18,8 +18,8 @@ the unions of two antichains are distinct and none contains another; for a
 merge, a non-empty mask cannot lie inside a mask over the other list's owners.
 Either way only the canonical order is left to restore. Lists whose owners
 meet are minimalised. A join of two single witnesses is one OR, ``[l | r]``,
-whether or not their owners meet: one mask is an antichain, and its owner
-unions are computed only for a pair that holds a longer list. The output
+whether or not their owners meet: one mask is an antichain, and neither
+row's owner union is computed until a pair holds a longer list. The output
 rows are checked against the cap, and each distinct list is wrapped once, as
 it stands, in a ``SynthesisSet`` shared by every row that has it: a
 ``SynthesisSet`` stores int masks, not ``OwnerSet``s. Each output
@@ -397,18 +397,20 @@ def evaluate_plan(
             lkey, rkey = _getter(lay.left_key), _getter(lay.right_key)
             rkeep = _getter(lay.right_keep)
 
-            # right rows by key, each with its kept columns, masks and profile
-            index: dict[Row, list[tuple[Row, list[int], tuple[int, int]]]] = {}
+            # right rows by key, each as [kept columns, masks, profile]; a
+            # row's profile, like a left row's, is computed once a pair needs it
+            index: dict[Row, list[list]] = {}
             for rrow, rmasks in rrel.items():
-                index.setdefault(rkey(rrow), []).append((rkeep(rrow), rmasks, _profile(rmasks)))
+                index.setdefault(rkey(rrow), []).append([rkeep(rrow), rmasks, None])
 
             out: Relation = {}
             for lrow, lmasks in lrel.items():
                 matches = index.get(lkey(lrow))
                 if matches is None:
                     continue
-                lprofile = None  # computed once a pair needs it
-                for kept, rmasks, rprofile in matches:
+                lprofile = None
+                for match in matches:
+                    kept, rmasks, rprofile = match
                     # a right row is its key plus its kept columns: rows never collide
                     row = lrow + kept
                     if len(lmasks) == 1 == len(rmasks):  # two single witnesses
@@ -416,6 +418,8 @@ def evaluate_plan(
                         continue
                     if lprofile is None:
                         lprofile = _profile(lmasks)
+                    if rprofile is None:
+                        rprofile = match[2] = _profile(rmasks)
                     combined = _join_masks(lmasks, lprofile, rmasks, rprofile)
                     if len(combined) > cap:
                         raise _cap_error(row, len(combined), node)
