@@ -19,12 +19,14 @@
 # anything is written), a manifest whose scenario has an unknown field, a
 # manifest that does not exist, a coalition set over more than 4096 owners,
 # a coalition set that is not UTF-8, a coalition set with an owner index of
-# true, a shapley --timeout of 0 or nan, a shapley --gamma of 0 (refused
-# before its inputs are read), a perm --samples of 0 and a reference report
-# one owner short. Both iusv routes must give the same exact allocation,
-# owner files with a repeated line must assemble to the same bytes, the perm
-# run must report an error rate, and the bench matrix's CSV must read back
-# equal to its JSON, with every cell ok. A second matrix, of a cell with no
+# true, a coalition set whose total utility, 1e400, is over the float range,
+# a shapley --timeout of 0 or nan, a shapley --gamma of 0 (refused before its
+# inputs are read), a perm --samples of 0 and a reference report one owner
+# short. A gen of a CSV file with a 200 000-character cell, over the csv
+# module's default field limit, must succeed. Both iusv routes must give the
+# same exact allocation, owner files with a repeated line must assemble to
+# the same bytes, the perm run must report an error rate, and the bench
+# matrix's CSV must read back equal to its JSON, with every cell ok. A second matrix, of a cell with no
 # method, one with gamma true and one with seed "x", must report each cell
 # as an error, and its CSV must read back equal to its JSON too.
 set -euo pipefail
@@ -103,6 +105,11 @@ if [[ -e "$out/same_stem_owners" ]]; then
   exit 1
 fi
 
+# No field is refused for its length.
+mkdir -p "$out/long_cell"
+python -c 'print("note"); print("x" * 200000)' > "$out/long_cell/notes.csv"
+"${cli[@]}" gen "$out/long_cell/notes.csv" --out "$out/long_cell_owners"
+
 python - "$out/owners/manifest.json" "$out/owners/bad_manifest.json" <<'EOF'
 import json, sys
 manifest = json.load(open(sys.argv[1]))
@@ -128,6 +135,11 @@ echo '{"schema": ["x"], "n_owners": 3,
   "tuples": [{"values": [1], "utility": "1", "syntheses": [[true], [2]]}]}' > "$out/true_owner.json"
 expect_error "coalition with an owner of true" shapley --method iusv \
   --coalition "$out/true_owner.json" --out "$out/true_owner_report.json"
+
+echo '{"schema": ["x"], "n_owners": 2,
+  "tuples": [{"values": [1], "utility": "1e400", "syntheses": [[0], [1]]}]}' > "$out/huge_utility.json"
+expect_error "coalition utility over the float range" shapley --method iusv \
+  --coalition "$out/huge_utility.json" --out "$out/huge_utility_report.json"
 
 expect_error "shapley --timeout 0" shapley --method iusv --coalition "$out/coalition.json" \
   --timeout 0 --out "$out/no_time.json"

@@ -8,9 +8,10 @@ sampling methods pay for their plan re-executions inside the timed section,
 which is what makes them slow.
 
 Each decision is stated once: ``CELL_PARSERS`` says how a CSV cell of each
-manifest type parses, ``_run`` runs every method in the fork child and fills
-its report in, the report CSV's columns and cell parsers come from
-:class:`RunReport`'s fields, and which values a field of :class:`RunConfig`
+manifest type parses, and so which cells are valid, whether a plan reads
+them or not; ``_run`` runs every method in the fork child and fills its
+report in; the report CSV's columns and cell parsers come from
+:class:`RunReport`'s fields; and which values a field of :class:`RunConfig`
 or :class:`RunReport` accepts is its annotation, checked by
 :func:`~assemblage_shapley.model.check_fields` when the record is built.
 """
@@ -33,12 +34,14 @@ from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 from .baselines import PRNG_NAME, UtilityEvaluator, _check_samples, perm_shapley, trad_shapley
 from .datagen import Assignment, AssignmentScenario
 from .engine import CoalitionSet, OwnedTable, SourceTable, evaluate_plan
-from .errors import IngestError, UndefinedMetricError, decoded, read_json, utf8_text
+from .errors import IngestError, UndefinedMetricError, csv_records, decoded, read_json
 from .model import Allocation, check_fields, exact_sum, field_types, has_type, json_object
 from .plans import PlanNode, required_columns
 from .shapley import DEFAULT_GAMMA, CaseStats, _check_gamma, iusv_all
 
 #: How a CSV cell of each type parses. Each ignores surrounding whitespace.
+#: It is the one rule for which text is a valid cell of its type: a cell that
+#: no plan column reads is checked by it too (see :func:`_check_column`).
 CELL_PARSERS: dict[str, Callable[[str], Any]] = {
     "string": str.strip,
     "integer": int,
@@ -47,33 +50,20 @@ CELL_PARSERS: dict[str, Callable[[str], Any]] = {
 
 #: Decimal text that is plainly a ``Fraction``: an optional sign, digits, and
 #: optionally ``/`` and a nonzero denominator, as :func:`write_assignment` writes.
-_PLAIN_DECIMAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
+#: Each run of digits is shorter than 640, the lowest limit
+#: ``sys.set_int_max_str_digits`` accepts, so ``Fraction`` accepts every text
+#: this matches whatever that limit is; a longer run is left to ``Fraction``.
+#: The runs are bounded by counted repeats, which cost less than a look-ahead.
+_PLAIN_DECIMAL = re.compile(r"[+-]?[0-9]{1,600}(?:/0{0,300}[1-9][0-9]{0,299})?")
 
 
-def _check_decimals(column: Iterable[str]) -> None:
-    # only a cell that is not plainly a Fraction pays for the parse
-    for raw in filterfalse(_PLAIN_DECIMAL.fullmatch, column):
-        Fraction(raw)
-
-
-def _check_integers(column: Iterable[str]) -> None:
-    deque(map(int, column), maxlen=0)
-
-
-#: How a column of CSV cells of each type is checked when no plan column
-#: reads it: it raises exactly when its ``CELL_PARSERS`` entry raises on one
-#: of its cells.
-_COLUMN_CHECKS: dict[str, Callable[[Iterable[str]], None]] = {
-    "string": lambda column: None,
-    "integer": _check_integers,
-    "decimal": _check_decimals,
-}
-
-#: How one CSV cell of each type is checked when no plan column reads it: it
-#: raises exactly when its ``CELL_PARSERS`` entry raises, and gives ``None``.
-_CELL_CHECKS: dict[str, Callable[[str], None]] = {
-    kind: (lambda raw, check=check: check((raw,))) for kind, check in _COLUMN_CHECKS.items()
-}
+def _check_column(kind: str, column: Iterable[str]) -> None:
+    """Raise exactly where ``CELL_PARSERS[kind]`` raises on a cell of
+    ``column``, keeping no parsed value."""
+    if kind == "decimal":
+        # only a cell that is not plainly a Fraction pays for the parse
+        column = filterfalse(_PLAIN_DECIMAL.fullmatch, column)
+    deque(map(CELL_PARSERS[kind], column), maxlen=0)
 
 
 # --- ingestion ----------------------------------------------------------------
@@ -119,12 +109,12 @@ def _read_csv(
 ) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
     """The header and typed rows of one CSV file; ``types`` maps attributes
     to cell types. With ``schema``, the header must equal it. With ``read``,
-    only the cells at those positions are parsed; every other cell is checked
-    and stored as ``None``. An unknown type, a missing header, a typed
-    attribute not in the header, a row with the wrong number of fields or a
-    bad cell, parsed or checked, raises
-    :class:`IngestError` naming the file and line; a file that is not UTF-8
-    raises one naming the file.
+    only the cells at those positions are kept; every other cell is checked
+    by its parser too, and stored as ``None``. An unknown type, a missing
+    header, a typed attribute not in the header, a row with the wrong number
+    of fields, a bad cell, read or not, or text the ``csv`` module refuses
+    raises :class:`IngestError` naming the file and line; a file that is not
+    UTF-8 raises one naming the file. No field is refused for its length.
 
     Cells are parsed and checked a column at a time. Only once that has
     failed are the rows walked one at a time, to name the first bad row in
@@ -132,8 +122,7 @@ def _read_csv(
     for attr, kind in types.items():
         if not (isinstance(kind, str) and kind in CELL_PARSERS):
             raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
-    with utf8_text(path, "CSV file") as fh:
-        reader = csv.reader(fh)
+    with csv_records(path, "CSV file") as reader:
         try:
             header = tuple(h.strip() for h in next(reader))
         except StopIteration:
@@ -150,30 +139,25 @@ def _read_csv(
     reads = [read is None or i in read for i in range(len(header))]
     body = list(filter(None, records))  # a blank line is an empty record
     if set(map(len, body)) - {len(header)}:
-        _raise_first_bad_row(path, records, kinds, reads)
+        _raise_first_bad_row(path, records, kinds)
     columns: list[Iterable] = []
     try:
         for kind, parse, column in zip(kinds, reads, zip(*body)):
             if parse:
                 columns.append(list(map(CELL_PARSERS[kind], column)))
             else:
-                _COLUMN_CHECKS[kind](column)
+                _check_column(kind, column)
                 columns.append(repeat(None, len(body)))
     except (ValueError, ZeroDivisionError):
-        _raise_first_bad_row(path, records, kinds, reads)
+        _raise_first_bad_row(path, records, kinds)
         raise
     return header, tuple(zip(*columns))
 
 
-def _raise_first_bad_row(
-    path: Path, records: list[list[str]], kinds: list[str], reads: list[bool]
-) -> None:
+def _raise_first_bad_row(path: Path, records: list[list[str]], kinds: list[str]) -> None:
     """Raise :class:`IngestError` for the first of ``records``, in file
     order, that has the wrong number of fields or a cell that does not parse
-    (as ``kinds``; checked where ``reads`` is false); return if none has."""
-    cells = [
-        CELL_PARSERS[kind] if parse else _CELL_CHECKS[kind] for kind, parse in zip(kinds, reads)
-    ]
+    as its type in ``kinds``, read or not; return if none has."""
     for line_no, record in enumerate(records, start=2):
         if not record:
             continue
@@ -181,9 +165,9 @@ def _raise_first_bad_row(
             raise IngestError(
                 f"row has {len(record)} fields, expected {len(kinds)}", path=str(path), line=line_no
             )
-        for raw, kind, cell in zip(record, kinds, cells):
+        for raw, kind in zip(record, kinds):
             try:
-                cell(raw)
+                CELL_PARSERS[kind](raw)
             except (ValueError, ZeroDivisionError):
                 raise IngestError(
                     f"cannot parse {raw.strip()!r} as {kind}", path=str(path), line=line_no
@@ -641,18 +625,21 @@ def reports_to_csv(reports: Sequence[RunReport], path: str | Path) -> None:
 
 
 def reports_from_csv(path: str | Path) -> list[RunReport]:
-    """Read the reports :func:`reports_to_csv` wrote. Text that is not UTF-8,
+    """Read the reports :func:`reports_to_csv` wrote, whatever their length.
+    Text that is not UTF-8 or not CSV, a row whose width is not the header's,
     a cell that does not parse, or a report that is not valid, is an
     :class:`IngestError` naming the file, as in :func:`reports_from_json`."""
-    with utf8_text(path, "report file") as fh:
-        rows = list(csv.DictReader(fh))
-    return decoded(path, "report file", lambda: _reports(list(map(_csv_fields, rows))))
+    with csv_records(path, "report file") as reader:
+        header = next(reader, [])
+        records = list(filter(None, reader))  # a blank line is an empty record
+    return decoded(path, "report file", lambda: _reports([_csv_fields(header, r) for r in records]))
 
 
-def _csv_fields(row: Mapping[str, str]) -> dict:
-    """The report fields in one CSV row, each cell parsed as its field's type;
-    an empty cell is ``""`` in a ``str`` field and ``None`` in any other."""
+def _csv_fields(header: Sequence[str], record: Sequence[str]) -> dict:
+    """The report fields in one CSV record, named by ``header`` and each
+    parsed as its field's type; an empty cell is ``""`` in a ``str`` field
+    and ``None`` in any other. A record of another width raises."""
     return {
         col: None if raw == "" and col not in _TEXT else _CSV_PARSERS.get(col, str)(raw)
-        for col, raw in row.items()
+        for col, raw in zip(header, record, strict=True)
     }

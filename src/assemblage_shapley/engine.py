@@ -266,15 +266,24 @@ _set_syntheses = CoalitionTuple.syntheses.__set__
 
 @dataclass(frozen=True)
 class CoalitionSet:
-    """Deduplicated output tuples of a coalition plan, with witnesses."""
+    """Deduplicated output tuples of a coalition plan, with witnesses over
+    ``n_owners`` owners; a repeated tuple, or syntheses over another number
+    of owners, raises ``ValueError``."""
 
     schema: tuple[str, ...]
     tuples: tuple[CoalitionTuple, ...]
     n_owners: int
 
     def __post_init__(self):
-        values = [t.values for t in self.tuples]
-        if len(set(values)) != len(values):
+        values = set()
+        for t in self.tuples:
+            if t.syntheses.width != self.n_owners:
+                raise ValueError(
+                    f"tuple {t.values!r} has syntheses over {t.syntheses.width} owners, "
+                    f"not {self.n_owners}"
+                )
+            values.add(t.values)
+        if len(values) != len(self.tuples):
             raise ValueError("coalition set contains duplicate tuple values")
 
     def __len__(self) -> int:
@@ -490,7 +499,8 @@ def coalition_from_dict(data: Mapping[str, Any]) -> CoalitionSet:
     """The coalition set in ``data``, as :func:`coalition_to_dict` writes it.
     An ``n_owners`` that is not an integer from 0 to ``model.DEFAULT_MAX_OWNERS``
     raises ``ValueError``, as :func:`evaluate_plan` would refuse it; so does a
-    tuple whose values do not match the schema in number. Another key or JSON
+    tuple whose values do not match the schema in number, and a total utility
+    that does not convert to ``float``, as reports give it. Another key or JSON
     type, an owner index of ``true`` included, raises as ``json_object`` does."""
     model.json_object(data, "coalition set", schema=list[str], n_owners=Any, tuples=list)
     n, cap = data["n_owners"], model.DEFAULT_MAX_OWNERS
@@ -509,7 +519,12 @@ def coalition_from_dict(data: Mapping[str, Any]) -> CoalitionSet:
         tuples.append(
             CoalitionTuple(values=values, utility=as_utility(item["utility"]), syntheses=syntheses)
         )
-    return CoalitionSet(schema=schema, tuples=tuple(tuples), n_owners=n)
+    d = CoalitionSet(schema=schema, tuples=tuple(tuples), n_owners=n)
+    try:
+        float(d.total_utility())
+    except OverflowError:
+        raise ValueError("total utility is beyond the float range") from None
+    return d
 
 
 def dump_coalition(d: CoalitionSet, path) -> None:

@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the one boundary that
 turns a malformed input file into an :class:`IngestError` naming it."""
 
+import csv
 import json
+import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, TextIO
 
@@ -77,6 +79,28 @@ def utf8_text(path, what: str) -> Iterator[TextIO]:
         bad = exc.object[exc.start]
         message = f"{what} is not UTF-8 text: cannot decode byte {bad:#04x}: {exc.reason}"
         raise IngestError(message, path=str(path)) from None
+
+
+@contextmanager
+def csv_records(path, what: str) -> Iterator[Iterator[list[str]]]:
+    """A ``csv.reader`` over the file ``path``, open as in :func:`utf8_text`.
+    Inside, the ``csv`` module refuses no field for its length, since none is
+    longer than the file; its field limit is as before once this exits. A
+    ``csv.Error`` while reading is an :class:`IngestError` that calls the file
+    ``what`` and names it and the line the reader had reached."""
+    limit = csv.field_size_limit()
+    try:
+        with utf8_text(path, what) as fh:
+            csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
+            reader = csv.reader(fh)
+            try:
+                yield reader
+            except csv.Error as exc:
+                raise IngestError(
+                    f"malformed {what}: {exc}", path=str(path), line=reader.line_num
+                ) from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def read_json(path, what: str, decode: Callable[[Any], Any] | None = None) -> Any:

@@ -2,9 +2,11 @@ import csv
 import gc
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
+import sys
 import tempfile
 import time
 from dataclasses import asdict, replace
@@ -179,6 +181,14 @@ _BAD_CELLS = {
     "integer": st.sampled_from(["x", "", " ", "1.5", "1/2", "--1"]),
     "decimal": st.sampled_from(["x", "", "1/0", "1/-2", "1..5", " 3/0 "]),
 }
+#: Decimals of 590 to 4 310 digits, drawn most often near the plain-decimal
+#: pre-check's bound of 600 digits and ``int``'s default limit of 4 300: some
+#: parse and some do not.
+_LONG_DECIMALS = st.builds(
+    lambda shape, n: shape.format("9" * n, "0" * n),
+    st.sampled_from(["{0}", "-{0}", "1/{0}", "{0}/7", "3/{1}7", " {1} "]),
+    st.integers(590, 610) | st.integers(4290, 4310) | st.integers(590, 4310),
+)
 
 
 @st.composite
@@ -192,8 +202,11 @@ def _csv_files(draw):
     types = {f"c{i}": k for i, k in enumerate(kinds) if k != "string" or draw(st.booleans())}
     read = draw(st.none() | st.sets(st.integers(0, width - 1)))
     bad_share = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    long_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
 
     def cell(kind):
+        if kind == "decimal" and draw(st.floats(0, 1)) < long_share:
+            return draw(_LONG_DECIMALS)
         bad = bad_share and draw(st.floats(0, 1)) < bad_share
         return draw(_BAD_CELLS[kind] if bad and kind != "string" else _GOOD_CELLS[kind])
 
@@ -245,6 +258,38 @@ def test_ingest_names_the_first_bad_row_in_file_order(tmp_path):
         with pytest.raises(IngestError) as exc_info:
             ingest_csv([p], types)
         assert str(exc_info.value) == f"{message} [{p}:{line}]"
+
+
+def test_ingest_refuses_no_field_for_its_length(tmp_path):
+    # over the csv module's default field limit of 131 072 characters
+    cell = "x" * 200_000
+    p = tmp_path / "long.csv"
+    types = {"long": {"types": {"b": "integer"}}}
+    limit = csv.field_size_limit()
+    p.write_text(f"a,b\n{cell},1\n")
+    (t,) = ingest_csv([p], types)
+    assert t.rows == ((cell, 1),)
+    assert csv.field_size_limit() == limit
+    p.write_text(f"a,b\n{cell},1\n2,y\n")
+    with pytest.raises(IngestError) as exc_info:
+        ingest_csv([p], types)
+    assert str(exc_info.value) == f"cannot parse 'y' as integer [{p}:3]"
+    assert csv.field_size_limit() == limit
+
+
+def test_a_nul_byte_is_a_cell_or_an_ingest_error(tmp_path):
+    # the csv module reads a NUL from Python 3.11 on, and refuses it before
+    p = tmp_path / "nul.csv"
+    p.write_text("a\nx\x00y\n")
+    limit = csv.field_size_limit()
+    if sys.version_info >= (3, 11):
+        (t,) = ingest_csv([p])
+        assert t.rows == (("x\x00y",),)
+    else:
+        with pytest.raises(IngestError) as exc_info:
+            ingest_csv([p])
+        assert str(exc_info.value) == f"malformed CSV file: line contains NUL [{p}:2]"
+    assert csv.field_size_limit() == limit
 
 
 # --- assignment manifest round trip -------------------------------------------------
@@ -584,6 +629,25 @@ def _write_malformed(path, report: RunReport, bad: dict) -> None:
         writer.writerows(rows)
 
 
+def test_reports_csv_roundtrip_holds_for_any_owner_count(tmp_path):
+    # 4 000 shares over 40!: an allocation_exact cell of about 300 000
+    # characters, over the csv module's default field limit
+    denominator = math.factorial(40)
+    shares = [F(i, denominator) for i in range(1, 4001)]
+    report = RunReport.for_config(
+        RunConfig(method="iusv"),
+        n_owners=len(shares),
+        allocation=[float(v) for v in shares],
+        allocation_exact=[str(v) for v in shares],
+    )
+    path = tmp_path / "reports.csv"
+    reports_to_csv([report], path)
+    assert path.stat().st_size > 300_000
+    limit = csv.field_size_limit()
+    assert reports_from_csv(path) == [report]
+    assert csv.field_size_limit() == limit
+
+
 def test_reports_csv_bytes_are_pinned(tmp_path):
     path = tmp_path / "reports.csv"
     reports_to_csv(_golden_reports(), path)
@@ -610,6 +674,18 @@ def test_reports_from_csv_checks_reports_like_json(tmp_path, bad):
     with pytest.raises(IngestError, match=r"^malformed report file: ") as exc_info:
         reports_from_csv(path)
     assert exc_info.value.path == str(path)
+
+
+def test_reports_from_csv_refuses_a_row_of_another_width(tmp_path):
+    # a short row must not read its missing text fields as "None"
+    path = tmp_path / "reports.csv"
+    reports_to_csv([RunReport.for_config(RunConfig(method="iusv"))], path)
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    for bad in [row.rsplit(",", 1)[0], row + ",x"]:
+        path.write_text(f"{header}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=r"^malformed report file: ValueError: ") as exc_info:
+            reports_from_csv(path)
+        assert exc_info.value.path == str(path)
 
 
 @pytest.mark.parametrize(

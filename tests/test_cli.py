@@ -757,6 +757,22 @@ def test_shapley_refuses_a_coalition_utility_of_true(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_shapley_refuses_a_coalition_utility_over_the_float_range(tmp_path, capsys):
+    # each share is at most the total, so every report float fits once it does
+    path = tmp_path / "coalition.json"
+    path.write_text(json.dumps({
+        "schema": ["x"], "n_owners": 2,
+        "tuples": [{"values": [1], "utility": "1e400", "syntheses": [[0], [1]]}],
+    }))
+    out = tmp_path / "r.json"
+    rc = main(["shapley", "--method", "iusv", "--coalition", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    message = "malformed coalition set: ValueError: total utility is beyond the float range"
+    assert err == f"error: {message} [{path}]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -35,6 +35,7 @@ from assemblage_shapley import (
 )
 from assemblage_shapley.engine import (
     DEFAULT_MAX_SYNTHESES,
+    CoalitionSet,
     CoalitionTuple,
     coalition_from_dict,
     coalition_to_dict,
@@ -673,6 +674,13 @@ def test_coalition_set_json_roundtrip():
     plan, tables = example_mapping_tables()
     d = evaluate_plan(plan, tables)
     assert coalition_from_dict(coalition_to_dict(d)) == d
+
+
+def test_a_coalition_set_refuses_syntheses_over_another_owner_count():
+    t = CoalitionTuple((1,), Fraction(1), minimalize([OwnerSet(10, 1 << 9)]))
+    with pytest.raises(ValueError, match=r"tuple \(1,\) has syntheses over 10 owners, not 4"):
+        CoalitionSet(("x",), (t,), n_owners=4)
+    assert CoalitionSet(("x",), (t,), n_owners=10).tuples == (t,)
 
 
 def test_coalition_from_dict_minimalises_witness_lists():
