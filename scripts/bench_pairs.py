@@ -5,16 +5,17 @@ Run from the repository root:
     python3 scripts/bench_pairs.py --parent REV \\
         --claim join-uo-ea:request_s.p50 --what "..." --out BENCH_<n>.json
 
-The parent side is ``git archive REV``, unpacked under ``.perfbench_work/``;
-the change side is this checkout, as it stands. Both sides must hold the same
-``perfbench/`` and ``BENCHMARK.json``, so each runs the same benchmark on its
-own ``src/``. Each of ten pairs runs ``perfbench/run.py --workload W --seed 1
---seconds T --trace 0``, T being ``BENCHMARK.json``'s ``run_seconds``, once
-on each side, one run at a time, and the side that runs first alternates pair
-by pair. Every workload runs at seed 1; the ``--claim`` workload also runs at
-seed 7. For every end-to-end metric of ``BENCHMARK.json`` the file records
-each side's runs, median and quartiles, the pairs the change won and a
-verdict against the metric's bound.
+The parent side is ``git archive REV``, unpacked under ``.perfbench_work/``,
+with this checkout's ``perfbench/`` and ``BENCHMARK.json`` copied over it;
+the change side is this checkout, as it stands. So both sides run one
+benchmark, each on its own ``src/``. Each of ten pairs runs
+``perfbench/run.py --workload W --seed 1 --seconds T --trace 0``, T being
+``BENCHMARK.json``'s ``run_seconds``, once on each side, one run at a time,
+and the side that runs first alternates pair by pair. Every workload runs
+at seed 1; the ``--claim`` workload also runs at seed 7. For every
+end-to-end metric of ``BENCHMARK.json`` the file records each side's runs,
+median and quartiles, the pairs the change won and a verdict against the
+metric's bound.
 
 It also records ``same_answers``: per side, hashes of the coalition set, of
 the ``iusv_all`` shares with their case counts and of the ``shapley --method
@@ -39,7 +40,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("join-uo-ea", "join-eo-ua", "union-eo-ea")
-BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
 PAIRS = 10
 #: a gain needs at least 9 of the 10 pairs, and a median gain past the parent's IQR
 WINS_NEEDED = 9
@@ -51,24 +51,17 @@ def _git(*args: str) -> bytes:
 
 
 def _export(rev: str, dest: Path) -> Path:
-    """``git archive rev`` unpacked into a fresh ``dest``."""
+    """``git archive rev`` unpacked into a fresh ``dest``, with this
+    checkout's ``perfbench/`` and ``BENCHMARK.json`` in place of its own."""
     shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
         tar.extractall(dest)
+    shutil.rmtree(dest / "perfbench", ignore_errors=True)
+    shutil.copytree(ROOT / "perfbench", dest / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
     return dest
-
-
-def _same_benchmark(parent: Path) -> bool:
-    """Whether ``parent`` holds the same benchmark files as this checkout."""
-    for name in BENCHMARK_FILES:
-        diff = subprocess.run(
-            ["diff", "-r", "-q", "-x", "__pycache__", str(parent / name), str(ROOT / name)],
-            stdout=subprocess.DEVNULL, check=False,
-        )
-        if diff.returncode != 0:
-            return False
-    return True
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -246,9 +239,6 @@ def main(argv: list[str] | None = None) -> int:
 
     parent_rev = _git("rev-parse", "--short", args.parent).decode().strip()
     parent_root = _export(parent_rev, ROOT / ".perfbench_work" / f"pairs-{parent_rev}")
-    if not _same_benchmark(parent_root):
-        print(f"the benchmark differs between {parent_rev} and this checkout", file=sys.stderr)
-        return 2
     answers = {side: _side_answers(root)
                for side, root in (("parent", parent_root), ("change", ROOT))}
     results, environment = {}, None
@@ -263,8 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
         "method": "alternating parent/change pairs, the first side alternating pair by pair; "
-                  "each side ran from its own copy of the tree, with identical perfbench/ and "
-                  "BENCHMARK.json, one run at a time on the same host",
+                  "each side ran this checkout's perfbench/ and BENCHMARK.json on its own "
+                  "src/, the parent's from a git archive export with those copied over it, "
+                  "one run at a time on the same host",
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over each side's runs",
         "claim": claim,
         "environment": environment,

@@ -117,8 +117,8 @@ def _read_csv(
     UTF-8 raises one naming the file. No field is refused for its length.
 
     Cells are parsed and checked a column at a time. Only once that has
-    failed are the rows walked one at a time, to name the first bad row in
-    file order."""
+    failed is the file read again a row at a time, to name the first bad row
+    in file order by its physical line."""
     for attr, kind in types.items():
         if not (isinstance(kind, str) and kind in CELL_PARSERS):
             raise IngestError(f"unknown type {kind!r} for attribute {attr!r}", path=str(path))
@@ -139,7 +139,7 @@ def _read_csv(
     reads = [read is None or i in read for i in range(len(header))]
     body = list(filter(None, records))  # a blank line is an empty record
     if set(map(len, body)) - {len(header)}:
-        _raise_first_bad_row(path, records, kinds)
+        _raise_first_bad_row(path, kinds)
     columns: list[Iterable] = []
     try:
         for kind, parse, column in zip(kinds, reads, zip(*body)):
@@ -149,29 +149,35 @@ def _read_csv(
                 _check_column(kind, column)
                 columns.append(repeat(None, len(body)))
     except (ValueError, ZeroDivisionError):
-        _raise_first_bad_row(path, records, kinds)
+        _raise_first_bad_row(path, kinds)
         raise
     return header, tuple(zip(*columns))
 
 
-def _raise_first_bad_row(path: Path, records: list[list[str]], kinds: list[str]) -> None:
-    """Raise :class:`IngestError` for the first of ``records``, in file
-    order, that has the wrong number of fields or a cell that does not parse
-    as its type in ``kinds``, read or not; return if none has."""
-    for line_no, record in enumerate(records, start=2):
-        if not record:
-            continue
-        if len(record) != len(kinds):
-            raise IngestError(
-                f"row has {len(record)} fields, expected {len(kinds)}", path=str(path), line=line_no
-            )
-        for raw, kind in zip(record, kinds):
-            try:
-                CELL_PARSERS[kind](raw)
-            except (ValueError, ZeroDivisionError):
+def _raise_first_bad_row(path: Path, kinds: list[str]) -> None:
+    """Raise :class:`IngestError` for the first record below the header of
+    the CSV file ``path``, in file order, that has the wrong number of fields
+    or a cell that does not parse as its type in ``kinds``, read or not; return
+    if none has. The file is read again, so that the error names the physical
+    line the reader had reached, as a ``csv`` error does."""
+    with csv_records(path, "CSV file") as reader:
+        next(reader)  # the header
+        for record in reader:
+            if not record:
+                continue
+            if len(record) != len(kinds):
                 raise IngestError(
-                    f"cannot parse {raw.strip()!r} as {kind}", path=str(path), line=line_no
-                ) from None
+                    f"row has {len(record)} fields, expected {len(kinds)}",
+                    path=str(path), line=reader.line_num,
+                )
+            for raw, kind in zip(record, kinds):
+                try:
+                    CELL_PARSERS[kind](raw)
+                except (ValueError, ZeroDivisionError):
+                    raise IngestError(
+                        f"cannot parse {raw.strip()!r} as {kind}", path=str(path),
+                        line=reader.line_num,
+                    ) from None
 
 
 # --- owner-table manifest (gen output) -----------------------------------------

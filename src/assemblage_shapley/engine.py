@@ -12,14 +12,16 @@ collapse), so its distinct singleton witnesses are already canonical. A join
 combines each matching pair's lists, and no two pairs give one row; a
 projection or union combines only rows that collide.
 
-Two lists whose owner unions do not meet combine without minimalising. For a
-join, l1 | r1 ⊆ l2 | r2 over disjoint owners forces l1 ⊆ l2 and r1 ⊆ r2, so
-the unions of two antichains are distinct and none contains another; for a
+A join and a merge combine two lists by one rule, ``_antichain``: their
+pairwise unions (a join) or their concatenation (a merge) are minimalised
+where the lists' owner unions meet, and otherwise only sorted. For a join,
+l1 | r1 ⊆ l2 | r2 over disjoint owners forces l1 ⊆ l2 and r1 ⊆ r2, so the
+unions of two antichains are distinct and none contains another; for a
 merge, a non-empty mask cannot lie inside a mask over the other list's owners.
-Either way only the canonical order is left to restore. Lists whose owners
-meet are minimalised. A join of two single witnesses is one OR, ``[l | r]``,
-whether or not their owners meet: one mask is an antichain, and neither
-row's owner union is computed until a pair holds a longer list. The output
+The canonical order is two C-level sorts, by bits and then stably by
+cardinality. A join of two single witnesses is one OR, ``[l | r]``, whether
+or not their owners meet: one mask is an antichain, and neither row's owner
+union is computed until a pair holds a longer list. The output
 rows are checked against the cap, and each distinct list is wrapped once, as
 it stands, in a ``SynthesisSet`` shared by every row that has it: a
 ``SynthesisSet`` stores int masks, not ``OwnerSet``s. Each output
@@ -103,14 +105,10 @@ class OwnedTable:
         return len(self.rows)
 
 
-def _canonical(mask: int) -> tuple[int, int]:
-    """The (cardinality, bits) key of the canonical order."""
-    return mask.bit_count(), mask
-
-
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
     """Deduplicated subset-minimal elements, sorted by (cardinality, bits)."""
-    ordered = sorted(set(masks), key=_canonical)
+    ordered = sorted(set(masks))
+    ordered.sort(key=int.bit_count)  # stable: each cardinality keeps its bit order
     kept: list[int] = []
     for m in ordered:
         if not any(k & m == k for k in kept):
@@ -126,43 +124,17 @@ def _owners(masks: Iterable[int]) -> int:
     return bits
 
 
-def _profile(masks: list[int]) -> tuple[int, int]:
-    """The owner union of the non-empty canonical antichain ``masks``, and the
-    cardinality all its masks share, or -1 where they differ."""
-    low, high = masks[0].bit_count(), masks[-1].bit_count()
-    return _owners(masks), (low if low == high else -1)
-
-
-def _join_masks(
-    lmasks: list[int], lprofile: tuple[int, int], rmasks: list[int], rprofile: tuple[int, int]
-) -> list[int]:
-    """The canonical antichain of the unions of ``lmasks`` × ``rmasks``, two
-    canonical antichains of the given :func:`_profile`."""
-    (lowners, lcard), (rowners, rcard) = lprofile, rprofile
-    if lowners & rowners:
-        return _minimal_masks(lm | rm for lm in lmasks for rm in rmasks)
-    # disjoint owners: an antichain already, only its order is left
-    out = [lm | rm for lm in lmasks for rm in rmasks]
-    if lcard < 0 or rcard < 0:
-        out.sort(key=_canonical)
-    else:  # every union has lcard + rcard owners
-        out.sort()
-    return out
-
-
-def _merge_masks(have: list[int], masks: list[int]) -> list[int]:
-    """The canonical antichain of the minimal masks of two canonical
-    antichains ``have`` and ``masks``."""
-    (howners, hcard), (mowners, mcard) = _profile(have), _profile(masks)
-    if howners & mowners:
-        return _minimal_masks(have + masks)
-    # disjoint owners: an antichain already, only its order is left
-    out = have + masks
-    if hcard == mcard >= 0:
-        out.sort()
-    else:
-        out.sort(key=_canonical)
-    return out
+def _antichain(masks: list[int], meet: int) -> list[int]:
+    """The canonical antichain of two combined canonical antichains: ``masks``
+    holds their pairwise unions (a join) or their concatenation (a merge), and
+    ``meet`` the owners their unions share. Owners that meet call for
+    minimalising; otherwise ``masks`` is an antichain already, and is sorted
+    in place into canonical order, by bits and then, stably, by cardinality."""
+    if meet:
+        return _minimal_masks(masks)
+    masks.sort()
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 def _getter(positions: tuple[int, ...]) -> Callable[[Row], Row]:
@@ -342,7 +314,7 @@ def _merged(sources, node: PlanNode) -> Relation:
         for row, masks in items:
             have = dest.setdefault(row, masks)
             if have is not masks:  # each list is one row's, so this row collides
-                merged = _merge_masks(have, masks)
+                merged = _antichain(have + masks, _owners(have) & _owners(masks))
                 if len(merged) > DEFAULT_MAX_SYNTHESES:
                     raise _cap_error(row, len(merged), node)
                 dest[row] = merged
@@ -406,30 +378,32 @@ def evaluate_plan(
             lkey, rkey = _getter(lay.left_key), _getter(lay.right_key)
             rkeep = _getter(lay.right_keep)
 
-            # right rows by key, each as [kept columns, masks, profile]; a
-            # row's profile, like a left row's, is computed once a pair needs it
+            # right rows by key, each as [kept columns, masks, owner union]; a
+            # row's union, like a left row's, is 0 until a pair needs it
             index: dict[Row, list[list]] = {}
             for rrow, rmasks in rrel.items():
-                index.setdefault(rkey(rrow), []).append([rkeep(rrow), rmasks, None])
+                index.setdefault(rkey(rrow), []).append([rkeep(rrow), rmasks, 0])
 
             out: Relation = {}
             for lrow, lmasks in lrel.items():
                 matches = index.get(lkey(lrow))
                 if matches is None:
                     continue
-                lprofile = None
+                lowners = 0
                 for match in matches:
-                    kept, rmasks, rprofile = match
+                    kept, rmasks, rowners = match
                     # a right row is its key plus its kept columns: rows never collide
                     row = lrow + kept
                     if len(lmasks) == 1 == len(rmasks):  # two single witnesses
                         out[row] = [lmasks[0] | rmasks[0]]
                         continue
-                    if lprofile is None:
-                        lprofile = _profile(lmasks)
-                    if rprofile is None:
-                        rprofile = match[2] = _profile(rmasks)
-                    combined = _join_masks(lmasks, lprofile, rmasks, rprofile)
+                    if not lowners:
+                        lowners = _owners(lmasks)
+                    if not rowners:
+                        rowners = match[2] = _owners(rmasks)
+                    combined = _antichain(
+                        [lm | rm for lm in lmasks for rm in rmasks], lowners & rowners
+                    )
                     if len(combined) > cap:
                         raise _cap_error(row, len(combined), node)
                     out[row] = combined

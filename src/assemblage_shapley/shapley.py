@@ -42,7 +42,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .engine import CoalitionSet, SynthesisSet, _minimal_masks
+from .engine import CoalitionSet, SynthesisSet, _minimal_masks, _owners
 from .errors import CostLimitError
 from .model import Allocation, OwnerSet, bit_indices, sum_parts
 
@@ -167,27 +167,22 @@ def _union_probability(masks: Sequence[int]) -> Fraction:
     they all contain -- which is why dropping supersets of other masks (and
     duplicates) first is sound: it leaves the union of events unchanged.
 
-    Enumeration walks subsets in Gray-code order, maintaining per-owner
-    membership counts so the union cardinality updates incrementally.
+    Enumeration walks subsets in Gray-code order, maintaining membership
+    counts by owner bit so the union cardinality updates incrementally.
     """
     items = _minimal_masks(masks)
     w = len(items)
-    if w == 0:
-        return Fraction(0)
     terms = (1 << w) - 1
     if terms > DEFAULT_SC_MAX_TERMS:
         raise CostLimitError(
             f"inclusion-exclusion over {w} sets needs {terms} terms (cap {DEFAULT_SC_MAX_TERMS})"
         )
-    universe = 0
-    for m in items:
-        universe |= m
-    owner_pos = {o: i for i, o in enumerate(bit_indices(universe))}
-    item_bits = [tuple(owner_pos[o] for o in bit_indices(m)) for m in items]
+    universe = _owners(items)
+    item_bits = [tuple(bit_indices(m)) for m in items]
 
-    counts = [0] * len(owner_pos)
+    counts = [0] * universe.bit_length()
     # coeff[c] = signed number of subsets whose union has cardinality c
-    coeff = [0] * (len(owner_pos) + 1)
+    coeff = [0] * (universe.bit_count() + 1)
     card = 0
     size = 0
     prev_gray = 0
@@ -285,10 +280,7 @@ def _sl_table(local: Sequence[int]) -> tuple[Fraction, ...]:
     n**2 popcounts over the same bits. More than ``DEFAULT_SL_MAX_OWNERS``
     owners raises :class:`CostLimitError` before any of it is built.
     """
-    union = 0
-    for m in local:
-        union |= m
-    n = union.bit_length()
+    n = _owners(local).bit_length()
     if n > DEFAULT_SL_MAX_OWNERS:
         raise CostLimitError(
             f"{n} synthesis owners exceeds the SL cap of {DEFAULT_SL_MAX_OWNERS}"
@@ -476,10 +468,7 @@ def _rank_relabel(s: SynthesisSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     bit order of the masks: the local masks are already in the engine's
     canonical (cardinality, bits) order and need no sort.
     """
-    union = 0
-    for m in s.masks():
-        union |= m
-    owners = tuple(bit_indices(union))
+    owners = tuple(bit_indices(_owners(s.masks())))
     rank_bit = {1 << owner: 1 << r for r, owner in enumerate(owners)}
     local = []
     for m in s.masks():  # one pass per mask, one step per member

@@ -124,6 +124,19 @@ def test_ingest_normalizes_decimals_and_strings(tmp_path):
     assert t.rows[1][0] == F(3, 2)
 
 
+def test_an_owner_file_header_must_equal_its_manifest_schema(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"n_owners": 1, "tables": {"t": {"schema": ["a", "b"], "owners": {"0": "t0.csv"}}}}
+    ))
+    for header in ("a,c", "b,a", "a"):
+        (tmp_path / "t0.csv").write_text(f"{header}\n1,2\n")
+        with pytest.raises(IngestError) as exc_info:
+            load_assignment(manifest)
+        expected = f"owner file header disagrees with manifest [{tmp_path / 't0.csv'}:1]"
+        assert str(exc_info.value) == expected
+
+
 def test_ingest_rejects_unknown_type(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("a\n1\n")
@@ -141,13 +154,16 @@ def test_ingest_rejects_unknown_type(tmp_path):
 def _read_rows_one_at_a_time(path, types, read):
     """The header and rows of the CSV file ``path`` as a reader that parses
     one row at a time gives them, or the :class:`IngestError` it raises on
-    the first bad row. It parses every cell and keeps the ``read`` ones."""
+    the first bad row, at the physical line the reader had reached. It parses
+    every cell and keeps the ``read`` ones."""
     with open(path, encoding="utf-8", newline="") as fh:
-        header, *records = csv.reader(fh)
-    header = tuple(h.strip() for h in header)
+        reader = csv.reader(fh)
+        header = tuple(h.strip() for h in next(reader))
+        # each record with the physical line the reader had reached
+        records = [(record, reader.line_num) for record in reader]
     kinds = [types.get(attr, "string") for attr in header]
     rows = []
-    for line, record in enumerate(records, start=2):
+    for record, line in records:
         if not record:  # a blank line
             continue
         if len(record) != len(header):
@@ -231,6 +247,7 @@ def _csv_files(draw):
 @example(("a,b\n1,x\n2\n", {"a": "integer", "b": "integer"}, None))  # a bad cell, then a short row
 @example(("a,b\n1\n2,x\n", {"a": "integer", "b": "integer"}, None))  # a short row, then a bad cell
 @example(("a,b\n1,x\n2\n", {"a": "integer", "b": "decimal"}, {0}))  # the bad cell is not read
+@example(('a,b\n"x\ny",1\nz,q\n', {"b": "integer"}, None))  # a line break in a cell
 def test_ingest_by_column_equals_a_row_at_a_time_reader(case):
     text, types, read = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -258,6 +275,21 @@ def test_ingest_names_the_first_bad_row_in_file_order(tmp_path):
         with pytest.raises(IngestError) as exc_info:
             ingest_csv([p], types)
         assert str(exc_info.value) == f"{message} [{p}:{line}]"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('a,b\n"x\ny",1\nz,q\n', "cannot parse 'q' as integer"),
+    ('a,b\n"x\ny",1\nz\n', "row has 1 fields, expected 2"),
+])
+def test_ingest_names_a_bad_row_by_its_line_after_a_line_break_in_a_cell(
+    tmp_path, text, message
+):
+    # the quoted cell spans lines 2 and 3, so the bad row is on line 4
+    p = tmp_path / "ml.csv"
+    p.write_text(text)
+    with pytest.raises(IngestError) as exc_info:
+        ingest_csv([p], {"ml": {"types": {"b": "integer"}}})
+    assert str(exc_info.value) == f"{message} [{p}:4]"
 
 
 def test_ingest_refuses_no_field_for_its_length(tmp_path):

@@ -1,6 +1,10 @@
-"""The verdicts of ``scripts/bench_pairs.py``, on made-up runs."""
+"""The verdicts of ``scripts/bench_pairs.py``, on made-up runs, and the
+parent tree it exports."""
 
+import filecmp
 import importlib.util
+import io
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,25 @@ def test_a_claim_outside_the_benchmark_is_refused_before_any_run(tmp_path, capsy
         assert e.value.code == 2
         assert "is not WORKLOAD:METRIC" in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+def _tree_files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*")
+            if p.is_file() and "__pycache__" not in p.parts}
+
+
+def _same_files(a: Path, b: Path) -> bool:
+    files = _tree_files(a)
+    return files == _tree_files(b) and all(
+        filecmp.cmp(a / p, b / p, shallow=False) for p in files
+    )
+
+
+def test_an_export_holds_its_revisions_src_and_this_trees_benchmark(tmp_path):
+    root, head = bench_pairs.ROOT, tmp_path / "head"
+    dest = bench_pairs._export("HEAD", tmp_path / "parent")
+    with tarfile.open(fileobj=io.BytesIO(bench_pairs._git("archive", "HEAD", "src"))) as tar:
+        tar.extractall(head)
+    assert _tree_files(head / "src") and _same_files(dest / "src", head / "src")
+    assert _same_files(dest / "perfbench", root / "perfbench")
+    assert filecmp.cmp(dest / "BENCHMARK.json", root / "BENCHMARK.json", shallow=False)

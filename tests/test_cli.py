@@ -887,6 +887,29 @@ def test_shapley_reports_a_malformed_reference_cleanly(tmp_path, capsys, text):
     assert capsys.readouterr().err == f"error: {exc_info.value}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, reference, message",
+    [
+        (["--method", "trad"], None, "--coalition input only supports the iusv method"),
+        (["--method", "iusv"], _report_text(None), "no exact allocation in reference {}"),
+        (["--method", "iusv"], "[]", "no exact allocation in reference {}"),
+    ],
+    ids=["coalition-with-trad", "reference-without-allocation", "reference-without-reports"],
+)
+def test_shapley_refuses_a_coalition_run_it_cannot_make(
+    tmp_path, capsys, flags, reference, message
+):
+    # refused before the coalition set, which does not exist, is read
+    argv = ["shapley", *flags, "--coalition", str(tmp_path / "missing.json")]
+    path = tmp_path / "reference.json"
+    if reference is not None:
+        path.write_text(reference)
+        argv += ["--reference", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("route", ["manifest", "coalition"])
 def test_shapley_refuses_a_reference_over_another_owner_count_before_the_run(
     tmp_path, capsys, monkeypatch, route

@@ -234,11 +234,11 @@ def _antichain_pair(draw, width=7):
 @given(_antichain_pair())
 def test_combined_lists_equal_their_minimal_masks(pair):
     left, right = pair
-    minimal = engine_module._minimal_masks
-    profiles = engine_module._profile(left), engine_module._profile(right)
-    joined = engine_module._join_masks(left, profiles[0], right, profiles[1])
+    minimal, antichain = engine_module._minimal_masks, engine_module._antichain
+    meet = engine_module._owners(left) & engine_module._owners(right)
+    joined = antichain([lm | rm for lm in left for rm in right], meet)
     assert joined == minimal(lm | rm for lm in left for rm in right)
-    assert engine_module._merge_masks(left, right) == minimal(left + right)
+    assert antichain(left + right, meet) == minimal(left + right)
 
 
 def test_output_witnesses_stay_masks(monkeypatch):
@@ -459,6 +459,41 @@ def test_each_node_is_laid_out_once(monkeypatch, miniworld):
         laid_out.clear()
         evaluate_plan(plan, tables)
         assert len(laid_out) == nodes
+
+
+_ONE = CoalitionTuple((1,), Fraction(1), minimalize([OwnerSet(2, 1)]))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: OwnedTable("t", -1, ("x",), ()), ValueError, "owner index must be >= 0, got -1"),
+        (lambda: minimalize([OwnerSet(3, 1), OwnerSet(4, 2)]), ValueError,
+         "syntheses span different owner universes"),
+        (lambda: CoalitionSet(("x",), (_ONE, _ONE), n_owners=2), ValueError,
+         "coalition set contains duplicate tuple values"),
+        (lambda: Project(Scan("t"), ()), PlanError, "projection must keep at least one column"),
+        (lambda: Project(Scan("t"), ("a", "b"), rename=("c",)), PlanError,
+         "rename list has 1 names for 2 columns"),
+        (lambda: EquiJoin(Scan("a"), Scan("b"), ()), PlanError,
+         "equi-join needs at least one attribute pair"),
+        (lambda: Union((Scan("a"),)), PlanError, "union needs at least two inputs"),
+        (lambda: Union(()), PlanError, "union needs at least two inputs"),
+        (lambda: plans_module.plan_from_dict([{"op": "scan"}]), PlanError,
+         "plan node must be an object with an 'op' field, got [{'op': 'scan'}]"),
+        (lambda: plans_module.plan_from_dict({"op": "filter"}), PlanError,
+         "unknown plan op 'filter'"),
+        (lambda: evaluate_plan(Scan("t"), [OwnedTable("t", 3, ("x",), ((1,),))], n_owners=3),
+         PlanError, "table 't' owner 3 outside universe of 3"),
+    ],
+    ids=["negative-owner", "mixed-widths", "duplicate-tuples", "project-nothing",
+         "rename-length", "equi-join-no-pairs", "union-of-one", "union-of-none",
+         "plan-not-an-object", "plan-unknown-op", "owner-outside-universe"],
+)
+def test_malformed_arguments_are_refused_with_their_message(build, error, message):
+    with pytest.raises(error) as exc_info:
+        build()
+    assert str(exc_info.value) == message
 
 
 def test_row_arity_validation():
