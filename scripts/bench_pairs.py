@@ -56,7 +56,7 @@ def _export(rev: str, dest: Path) -> Path:
     shutil.rmtree(dest, ignore_errors=True)
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     shutil.rmtree(dest / "perfbench", ignore_errors=True)
     shutil.copytree(ROOT / "perfbench", dest / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))

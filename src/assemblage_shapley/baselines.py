@@ -49,7 +49,13 @@ class UtilityEvaluator:
         self.calls = 0
 
     def evaluate(self, owners: OwnerSet | int) -> Fraction:
-        bits = owners.bits if isinstance(owners, OwnerSet) else owners
+        """The utility of ``owners``, an int mask or an :class:`OwnerSet`; a
+        set over another universe than ``n_owners`` raises ``ValueError``."""
+        bits = owners
+        if isinstance(owners, OwnerSet):
+            if owners.width != self.n_owners:
+                raise ValueError(f"owner set of width {owners.width}, not {self.n_owners}")
+            bits = owners.bits
         cached = self.memo.get(bits)
         if cached is not None:
             return cached

@@ -1,8 +1,8 @@
 """Owner identities, owner sets, exact utilities, and allocations.
 
-Owners are dense non-negative integers within one scenario. Sets of owners are
-fixed-width bit vectors so that union/intersection/subset tests are exact
-integer operations. All revenue arithmetic uses ``fractions.Fraction``; floats
+Owners are dense non-negative integers within one scenario. The package computes
+on owner sets as int masks, bit ``i`` for owner ``i``; :class:`OwnerSet` is their
+checked, immutable view. All revenue arithmetic uses ``fractions.Fraction``; floats
 only appear at the reporting boundary. Every exact total is summed one way:
 integer numerators keyed by denominator (:func:`exact_sum`), made into one
 ``Fraction`` at the end (:func:`sum_parts`).
@@ -147,37 +147,26 @@ def json_object(data, what: str, /, **hints) -> dict:
     return data
 
 
+@dataclass(frozen=True, slots=True)
 class OwnerSet:
-    """An immutable set of owner indices over a fixed-width universe.
+    """The checked, immutable view of an int mask ``bits`` over a
+    ``width``-owner universe, bit ``i`` standing for owner ``i``.
 
-    Supports ``|`` (union), ``&`` (intersection), ``<=`` (subset), ``len``
-    (cardinality), ``in``, and iteration over member indices. Mixing sets from
-    universes of different widths raises :class:`UniverseMismatchError`.
+    Supports ``|`` (union), ``&`` (intersection), ``<=`` (subset), ``len``,
+    ``in``, and iteration over member indices. Mixing sets from universes of
+    different widths raises :class:`UniverseMismatchError`; assigning a field
+    raises ``dataclasses.FrozenInstanceError``.
     """
 
-    __slots__ = ("width", "bits")
+    width: int
+    bits: int = 0
 
-    def __init__(self, width: int, bits: int = 0):
+    def __post_init__(self):
+        width, bits = self.width, self.bits
         if width < 0:
             raise ValueError(f"universe width must be >= 0, got {width}")
         if bits < 0 or bits >> width:
             raise ValueError(f"bit pattern {bits:#x} does not fit a {width}-owner universe")
-        self.width = width
-        self.bits = bits
-
-    @classmethod
-    def empty(cls, width: int) -> "OwnerSet":
-        return cls(width, 0)
-
-    @classmethod
-    def full(cls, width: int) -> "OwnerSet":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
-    def singleton(cls, width: int, owner: int) -> "OwnerSet":
-        if not 0 <= owner < width:
-            raise ValueError(f"owner {owner} outside universe of width {width}")
-        return cls(width, 1 << owner)
 
     @classmethod
     def from_indices(cls, width: int, owners: Iterable[int]) -> "OwnerSet":
@@ -196,38 +185,20 @@ class OwnerSet:
                 f"owner universes differ: width {self.width} vs {other.width}"
             )
 
-    def union(self, other: "OwnerSet") -> "OwnerSet":
+    def __or__(self, other: "OwnerSet") -> "OwnerSet":
         self._check(other)
         return OwnerSet(self.width, self.bits | other.bits)
 
-    __or__ = union
-
-    def intersection(self, other: "OwnerSet") -> "OwnerSet":
+    def __and__(self, other: "OwnerSet") -> "OwnerSet":
         self._check(other)
         return OwnerSet(self.width, self.bits & other.bits)
 
-    __and__ = intersection
-
-    def difference(self, other: "OwnerSet") -> "OwnerSet":
-        self._check(other)
-        return OwnerSet(self.width, self.bits & ~other.bits)
-
-    def without(self, owner: int) -> "OwnerSet":
-        return OwnerSet(self.width, self.bits & ~(1 << owner))
-
-    def is_subset(self, other: "OwnerSet") -> bool:
+    def __le__(self, other: "OwnerSet") -> bool:
         self._check(other)
         return self.bits & other.bits == self.bits
 
-    __le__ = is_subset
-
-    def __lt__(self, other: "OwnerSet") -> bool:
-        return self.is_subset(other) and self.bits != other.bits
-
-    def cardinality(self) -> int:
+    def __len__(self) -> int:
         return self.bits.bit_count()
-
-    __len__ = cardinality
 
     def __contains__(self, owner: int) -> bool:
         return 0 <= owner < self.width and bool(self.bits >> owner & 1)
@@ -235,19 +206,8 @@ class OwnerSet:
     def __iter__(self) -> Iterator[int]:
         return bit_indices(self.bits)
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OwnerSet):
-            return NotImplemented
-        return self.width == other.width and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.bits))
 
     def __repr__(self) -> str:
         members = ",".join(f"u{i}" for i in self)
@@ -270,17 +230,6 @@ class Allocation:
         for i, v in enumerate(self.shares):
             if v < 0:
                 raise ValueError(f"negative share {v} for owner {i}")
-
-    @classmethod
-    def zeros(cls, n_owners: int) -> "Allocation":
-        return cls(shares=(Fraction(0),) * n_owners)
-
-    @classmethod
-    def from_mapping(cls, n_owners: int, values: Mapping[int, Fraction]) -> "Allocation":
-        shares = [Fraction(0)] * n_owners
-        for owner, v in values.items():
-            shares[owner] = Fraction(v)
-        return cls(shares=tuple(shares))
 
     @property
     def n_owners(self) -> int:

@@ -226,8 +226,11 @@ def shapley_sc(owner: int, split: SynthesisSplit, utility: Fraction) -> Fraction
     the owner is already complete, enumerated over pairs from both families.
     Cost is exponential in ``max(m_u, m_u * m_not_u)``; an enumeration over
     more than ``DEFAULT_SC_MAX_TERMS`` terms raises :class:`CostLimitError`
-    so the driver can fall back to SL.
+    so the driver can fall back to SL. A ``split`` built for another owner
+    raises ``ValueError``.
     """
+    if owner != split.owner:
+        raise ValueError(f"split is for owner {split.owner}, not owner {owner}")
     w_u = [s.bits for s in split.w_u]
     return utility * _sc(w_u, [s.bits for s in split.w_not_u])
 

@@ -22,6 +22,7 @@ from assemblage_shapley import (
     generate_assignment,
     minimalize,
 )
+from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
 from assemblage_shapley.plans import plan_layout
 
 
@@ -49,6 +50,15 @@ def permutation_oracle(s: SynthesisSet, utility: Fraction) -> dict[int, Fraction
                 totals[u] += utility
         count += 1
     return {u: v / count for u, v in totals.items()}
+
+
+def coalition(n_owners: int, *tuples: tuple[Fraction, SynthesisSet]) -> CoalitionSet:
+    """A coalition set of (utility, synthesis set) pairs, the i-th as row ``(i,)``."""
+    return CoalitionSet(
+        schema=("i",),
+        tuples=tuple(CoalitionTuple((i,), u, s) for i, (u, s) in enumerate(tuples)),
+        n_owners=n_owners,
+    )
 
 
 def random_synthesis_set(

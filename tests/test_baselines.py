@@ -31,12 +31,22 @@ def mk(width, *groups):
 def test_evaluator_empty_set_is_zero_and_memo_counts_calls():
     plan, tables = example_counter_tables()
     ev = UtilityEvaluator(plan, tables)
-    assert ev.evaluate(OwnerSet.empty(3)) == 0
-    full = OwnerSet.full(3)
+    assert ev.evaluate(OwnerSet(3)) == 0
+    full = OwnerSet(3, 0b111)
     ev.evaluate(full)
     calls = ev.calls
     ev.evaluate(full)
     assert ev.calls == calls  # memo hit
+
+
+def test_evaluator_refuses_an_owner_set_of_another_width():
+    plan, tables = example_counter_tables()
+    ev = UtilityEvaluator(plan, tables)
+    assert ev.evaluate(OwnerSet(3, 0b101)) == ev.evaluate(0b101)
+    with pytest.raises(ValueError, match=r"^owner set of width 8, not 3$"):
+        ev.evaluate(OwnerSet(8, 0b101))
+    with pytest.raises(ValueError, match="does not fit a 3-owner universe"):
+        ev.evaluate(0b1000)
 
 
 def test_evaluator_monotone_on_random_instances():
@@ -58,7 +68,7 @@ def test_trad_on_counter_scenario():
     ev = UtilityEvaluator(plan, tables)
     alloc = trad_shapley(ev)
     assert alloc.shares == (F(2, 3), F(1, 6), F(1, 6))
-    assert alloc.total() == ev.evaluate(OwnerSet.full(3))  # balance
+    assert alloc.total() == ev.evaluate(OwnerSet(3, 0b111))  # balance
 
 
 def test_trad_single_owner_identity_plan():

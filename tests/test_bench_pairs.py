@@ -74,7 +74,7 @@ def test_an_export_holds_its_revisions_src_and_this_trees_benchmark(tmp_path):
     root, head = bench_pairs.ROOT, tmp_path / "head"
     dest = bench_pairs._export("HEAD", tmp_path / "parent")
     with tarfile.open(fileobj=io.BytesIO(bench_pairs._git("archive", "HEAD", "src"))) as tar:
-        tar.extractall(head)
+        tar.extractall(head, filter="data")
     assert _tree_files(head / "src") and _same_files(dest / "src", head / "src")
     assert _same_files(dest / "perfbench", root / "perfbench")
     assert filecmp.cmp(dest / "BENCHMARK.json", root / "BENCHMARK.json", shallow=False)

@@ -71,7 +71,7 @@ def test_minimalize_three_sets_brute_force_cross_check():
     # cross-check against a direct pairwise-subset scan
     sets = osets(3, [0, 2], [1, 2], [0, 1, 2])
     expected = [
-        a for a in sets if not any(set(b.indices()) < set(a.indices()) for b in sets)
+        a for a in sets if not any(set(b) < set(a) for b in sets)
     ]
     out = minimalize(sets)
     assert sorted(tuple(s) for s in out) == sorted(tuple(s) for s in expected)
@@ -87,7 +87,7 @@ def test_minimalize_rejects_empty_input_and_empty_sets():
     with pytest.raises(ValueError):
         minimalize([])
     with pytest.raises(ValueError):
-        minimalize([OwnerSet.empty(3)])
+        minimalize([OwnerSet(3)])
 
 
 def test_synthesis_set_validates_antichain():

@@ -1,5 +1,6 @@
 import json
-from dataclasses import dataclass
+import pickle
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from assemblage_shapley.model import (
 
 
 def test_union_and_subset():
-    a = OwnerSet.singleton(4, 0)
-    b = OwnerSet.singleton(4, 1)
+    a = OwnerSet(4, 0b0001)
+    b = OwnerSet(4, 0b0010)
     assert (a | b) == OwnerSet.from_indices(4, [0, 1])
     assert OwnerSet.from_indices(4, [0, 1]) <= OwnerSet.from_indices(4, [0, 1, 2])
     assert not OwnerSet.from_indices(4, [0, 3]) <= OwnerSet.from_indices(4, [0, 1])
@@ -30,32 +31,50 @@ def test_membership_iteration_and_repr():
     s = OwnerSet.from_indices(8, [1, 5, 6])
     assert list(s) == [1, 5, 6]
     assert 5 in s and 0 not in s and 9 not in s
-    assert s.indices() == (1, 5, 6)
+    assert tuple(s) == (1, 5, 6)
     assert "u5" in repr(s)
-    assert bool(OwnerSet.empty(3)) is False
+    assert repr(s) == "OwnerSet({u1,u5,u6}, width=8)"
+    assert bool(OwnerSet(3)) is False
 
 
 def test_difference_and_without():
+    # a difference is an intersection with the complement
     s = OwnerSet.from_indices(5, [0, 2, 4])
-    assert s.without(2) == OwnerSet.from_indices(5, [0, 4])
-    assert s.difference(OwnerSet.from_indices(5, [0, 1])) == OwnerSet.from_indices(5, [2, 4])
+    assert s & OwnerSet(5, 0b11111 ^ 0b00100) == OwnerSet.from_indices(5, [0, 4])
+    assert s & OwnerSet(5, 0b11111 ^ 0b00011) == OwnerSet.from_indices(5, [2, 4])
 
 
 def test_mismatched_universes_rejected():
     with pytest.raises(UniverseMismatchError):
-        OwnerSet.singleton(4, 0) | OwnerSet.singleton(5, 0)
+        OwnerSet(4, 1) | OwnerSet(5, 1)
     with pytest.raises(UniverseMismatchError):
-        OwnerSet.singleton(4, 0) <= OwnerSet.singleton(8, 0)
-    assert OwnerSet.singleton(4, 0) != OwnerSet.singleton(5, 0)
+        OwnerSet(4, 1) <= OwnerSet(8, 1)
+    assert OwnerSet(4, 1) != OwnerSet(5, 1)
 
 
 def test_out_of_range_construction_rejected():
     with pytest.raises(ValueError):
-        OwnerSet.singleton(4, 4)
+        OwnerSet.from_indices(4, [4])
     with pytest.raises(ValueError):
         OwnerSet.from_indices(2, [3])
     with pytest.raises(ValueError):
         OwnerSet(3, bits=0b1000)
+    with pytest.raises(ValueError):
+        OwnerSet(3, bits=-1)
+    with pytest.raises(ValueError):
+        OwnerSet(-1)
+
+
+def test_owner_sets_are_frozen_hashable_and_picklable():
+    s = OwnerSet(4, 0b0011)
+    held = {s: "x"}
+    for name, value in (("bits", 0b1111), ("width", 8)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(s, name, value)
+    assert s in held and s == OwnerSet(4, 0b0011)
+    assert hash(s) == hash(OwnerSet.from_indices(4, [0, 1])) == hash((4, 0b0011))
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert not hasattr(s, "__dict__")
 
 
 owner_sets = st.integers(2, 12).flatmap(
@@ -98,13 +117,13 @@ def test_as_utility_exact_decimal_conversion():
 
 
 def test_allocation_basics():
-    alloc = Allocation.from_mapping(3, {1: Fraction(2, 3), 2: Fraction(1, 3)})
+    alloc = Allocation(shares=(Fraction(0), Fraction(2, 3), Fraction(1, 3)))
     assert alloc[0] == 0 and alloc[1] == Fraction(2, 3)
     assert alloc.total() == 1
     assert alloc.per_owner() == {0: 0, 1: Fraction(2, 3), 2: Fraction(1, 3)}
     assert alloc.as_floats() == [0.0, pytest.approx(2 / 3), pytest.approx(1 / 3)]
-    assert Allocation.zeros(2).total() == 0
-    assert Allocation.zeros(0).total() == 0
+    assert Allocation(shares=(Fraction(0),) * 2).total() == 0
+    assert Allocation(shares=()).total() == 0
 
 
 @given(

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from random import Random
 from unittest import mock
@@ -26,10 +27,9 @@ from assemblage_shapley import (
     shapley_unique_multi,
 )
 
-from helpers import example_counter_tables, permutation_oracle, random_synthesis_set
+from helpers import coalition, example_counter_tables, permutation_oracle, random_synthesis_set
 import assemblage_shapley.shapley as shapley_module
 from assemblage_shapley import evaluate_plan
-from assemblage_shapley.engine import CoalitionSet, CoalitionTuple
 from assemblage_shapley.shapley import DEFAULT_SC_MAX_TERMS, _rank_relabel
 
 
@@ -139,6 +139,23 @@ def test_sc_single_against_pair_matches_permutation_oracle():
 def test_sc_absent_owner_is_zero():
     split = SynthesisSplit(owner=5, w_u=(), w_not_u=tuple(COUNTER))
     assert shapley_sc(5, split, F(1)) == F(0)
+
+
+def test_sc_refuses_a_split_for_another_owner():
+    s = mk(4, [0, 1], [0, 2], [3])
+    assert shapley_sc(3, SynthesisSplit.for_owner(s, 3), F(1)) == F(7, 12)
+    assert brute_force_tuple_oracle(s, F(1))[3] == F(7, 12)
+    with pytest.raises(ValueError, match=r"^split is for owner 1, not owner 3$"):
+        shapley_sc(3, SynthesisSplit.for_owner(s, 1), F(1))
+
+
+def test_a_split_and_the_owner_sets_it_holds_are_frozen():
+    split = SynthesisSplit.for_owner(COUNTER, 1)
+    with pytest.raises(FrozenInstanceError):
+        split.w_u[0].bits = 8
+    with pytest.raises(FrozenInstanceError):
+        split.w_not_u[0].width = 8
+    assert split == SynthesisSplit.for_owner(COUNTER, 1)
 
 
 def test_sc_term_cap_raises_cost_error(monkeypatch):
@@ -413,15 +430,6 @@ def test_case_stats_merge():
 
 # --- the shape cache in iusv_all ---------------------------------------------------------
 
-
-
-def coalition(n_owners, *tuples):
-    """A coalition set of (utility, synthesis set) pairs."""
-    return CoalitionSet(
-        schema=("i",),
-        tuples=tuple(CoalitionTuple((i,), u, s) for i, (u, s) in enumerate(tuples)),
-        n_owners=n_owners,
-    )
 
 
 def uncached(d, gamma=1.0):
